@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-race cover bench bench-core bench-smoke fuzz-smoke serve-smoke jobs-smoke delta-smoke loadgen-smoke loadgen-bench obs-smoke cluster-smoke ci experiments experiments-quick vet fmt clean
+.PHONY: all build test race test-race cover bench bench-core bench-smoke fuzz-smoke serve-smoke jobs-smoke delta-smoke loadgen-smoke obs-smoke cluster-smoke bench-e2e bench-e2e-smoke ci experiments experiments-quick vet fmt clean
 
 all: build test
 
@@ -76,13 +76,21 @@ obs-smoke:
 	grep -q '"pass": true' /tmp/atload-obs-smoke.json
 	rm -f /tmp/atload-obs-smoke.jsonl /tmp/atload-obs-smoke.json
 
-# Regenerate the committed load-test baseline. Absolute numbers are
-# machine-dependent; the committed file pins report shape and the
-# deterministic request/count fields.
-loadgen-bench:
-	$(GO) run ./cmd/atload -requests 400 -concurrency 4 -seed 1 \
-		-jobs-min 6 -jobs-max 40 -distinct 16 \
-		-slo-p99 250 -slo-max-error-rate 0.01 -report BENCH_loadgen.json
+# The end-to-end benchmark of record (bench/e2e, its own Go module;
+# see bench/README.md): every workload RUNS times untraced plus once
+# traced, written to OUT. Compare two such directories with
+#   cd bench && go run ./e2e -compare -bench-json ../BENCHMARK.json A B
+RUNS ?= 10
+OUT ?= ../.bench_build/runs/local
+bench-e2e:
+	cd bench && $(GO) run ./e2e -runs $(RUNS) -out $(OUT)
+
+# The harness's own checks, which root `go test ./...` never reaches:
+# vet, plan determinism, pinned fingerprints, the compare rules, and a
+# short run of every workload end to end (~7 s). It also compiles the
+# harness against the service packages it drives.
+bench-e2e-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the committed core-solver benchmark baseline
 # (BENCH_core.json): fixed-seed instance families, median ns/op,
@@ -108,7 +116,7 @@ cluster-smoke:
 	$(GO) test -run='^TestClusterSmoke$$' -count=1 -v ./cmd/atcluster
 
 # CI entry point: everything that must be green before merging.
-ci: build vet test race fuzz-smoke serve-smoke jobs-smoke delta-smoke loadgen-smoke obs-smoke cluster-smoke bench-smoke
+ci: build vet test race fuzz-smoke serve-smoke jobs-smoke delta-smoke loadgen-smoke obs-smoke cluster-smoke bench-smoke bench-e2e-smoke
 
 cover:
 	$(GO) test -cover ./...

@@ -87,47 +87,46 @@ type RouteDecision struct {
 	LPTableauBytes int64
 }
 
-// Route decides which solver an AlgAuto request should run, from the
-// instance shape and the cost model: non-nested windows go to the
-// greedy 3-approximation (the only general-windows algorithm with a
-// guarantee), nested instances go to the 9/5 LP pipeline while it is
-// affordable under the limits, and everything else — deep chains,
-// huge forests — goes to the combinatorial solver. A nil model uses
-// the embedded default; zero-valued limits use DefaultRouteLimits.
-//
-// Route never solves anything; it costs one O(n log n) sweep over the
-// windows plus, for nested instances within the job/depth caps, one
-// containment-count sweep for the tableau estimate.
+// Route is RouteProfile over a fresh profile of in.
 func Route(in *Instance, m *costmodel.Model, lim RouteLimits) RouteDecision {
+	return RouteProfile(costmodel.NewProfile(in), m, lim)
+}
+
+// RouteProfile decides which solver an AlgAuto request should run,
+// from the instance profile and the cost model: non-nested windows go
+// to the greedy 3-approximation (the only general-windows algorithm
+// with a guarantee), nested instances go to the 9/5 LP pipeline while
+// it is affordable under the limits, and everything else — deep
+// chains, huge forests — goes to the combinatorial solver. A nil model
+// uses the embedded default; zero-valued limits use DefaultRouteLimits.
+// It reads the profile's LP estimate only for nested instances within
+// the job and depth caps.
+func RouteProfile(p *costmodel.Profile, m *costmodel.Model, lim RouteLimits) RouteDecision {
 	if m == nil {
 		m = costmodel.Default()
 	}
 	lim = lim.withDefaults()
-	family := costmodel.FamilyFor(in)
-	jobs := in.N()
-	depth := costmodel.Depth(in)
-	dec := RouteDecision{Jobs: jobs, Depth: depth}
+	dec := RouteDecision{Jobs: p.Jobs, Depth: p.Depth}
 	finish := func(alg Algorithm, reason string) RouteDecision {
 		dec.Algorithm = alg
 		dec.Reason = reason
-		dec.PredictedNS = m.PredictAlgNS(family, string(alg), jobs, depth)
+		dec.PredictedNS = m.PredictAlgNS(p.Family, string(alg), p.Jobs, p.Depth)
 		return dec
 	}
-	if family == costmodel.FamilyGeneral {
+	if p.Family == costmodel.FamilyGeneral {
 		return finish(AlgGreedyMinimal, RouteReasonGeneralWindows)
 	}
-	if jobs > lim.MaxLPJobs {
+	if p.Jobs > lim.MaxLPJobs {
 		return finish(AlgCombinatorial, RouteReasonJobsOverLPCap)
 	}
-	if depth > lim.MaxLPDepth {
+	if p.Depth > lim.MaxLPDepth {
 		return finish(AlgCombinatorial, RouteReasonDepthOverLPCap)
 	}
-	est := costmodel.EstimateLP(in)
-	dec.LPTableauBytes = est.TableauBytes
-	if est.TableauBytes > lim.MaxLPTableauBytes {
+	dec.LPTableauBytes = p.LP().TableauBytes
+	if dec.LPTableauBytes > lim.MaxLPTableauBytes {
 		return finish(AlgCombinatorial, RouteReasonLPTableauOverMemCap)
 	}
-	if m.PredictAlgNS(family, string(AlgNested95), jobs, depth) > lim.MaxLPPredictedNS {
+	if m.PredictAlgNS(p.Family, string(AlgNested95), p.Jobs, p.Depth) > lim.MaxLPPredictedNS {
 		return finish(AlgCombinatorial, RouteReasonLPPredictedSlow)
 	}
 	return finish(AlgNested95, RouteReasonSmallNestedLP)

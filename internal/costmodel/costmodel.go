@@ -184,17 +184,18 @@ func (m *Model) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// coeff resolves a (family, algorithm) pair through the fallback
-// chain: exact match, the default family with the same algorithm, the
-// family's algorithm-agnostic row, and finally the default family's
-// agnostic row (whose presence Parse guarantees).
+// fallbackChain lists the rows a (family, algorithm) pair resolves
+// through, most specific first: exact match, the default family with
+// the same algorithm, the family's algorithm-agnostic row, and finally
+// the default family's agnostic row.
+func fallbackChain(family, algorithm string) [4]modelKey {
+	return [...]modelKey{{family, algorithm}, {FamilyDefault, algorithm}, {family, ""}, {FamilyDefault, ""}}
+}
+
+// coeff resolves a (family, algorithm) pair through the fallback chain;
+// Parse guarantees the last link.
 func (m *Model) coeff(family, algorithm string) Coefficients {
-	for _, k := range [...]modelKey{
-		{family, algorithm},
-		{FamilyDefault, algorithm},
-		{family, ""},
-		{FamilyDefault, ""},
-	} {
+	for _, k := range fallbackChain(family, algorithm) {
 		if c, ok := m.byKey[k]; ok {
 			return c
 		}
@@ -231,15 +232,33 @@ func (m *Model) PredictAlgNS(family, algorithm string, jobs, depth int) int64 {
 	return int64(ns)
 }
 
-// PredictInstance predicts the cost of a concrete instance: jobs from
-// the instance, depth from the window structure (see Depth).
-func (m *Model) PredictInstance(family string, in *instance.Instance) int64 {
-	return m.PredictNS(family, in.N(), Depth(in))
+// Profile is an instance's shape as the cost model and the auto router
+// see it: family, job count, nesting depth and, computed on first use,
+// the LP size estimate. A request profiles its instance once and hands
+// the profile to routing, the memory gate, prediction and telemetry.
+// A Profile is not safe for concurrent use.
+type Profile struct {
+	Family string
+	Jobs   int
+	Depth  int
+
+	in *instance.Instance
+	lp *LPEstimate
 }
 
-// PredictInstanceAlg is PredictInstance for a specific algorithm.
-func (m *Model) PredictInstanceAlg(family, algorithm string, in *instance.Instance) int64 {
-	return m.PredictAlgNS(family, algorithm, in.N(), Depth(in))
+// NewProfile profiles in: one laminarity check and one depth sweep.
+func NewProfile(in *instance.Instance) *Profile {
+	return &Profile{Family: FamilyFor(in), Jobs: in.N(), Depth: Depth(in), in: in}
+}
+
+// LP returns EstimateLP of the profiled instance, computed on the first
+// call: only LP-bound solves need it.
+func (p *Profile) LP() LPEstimate {
+	if p.lp == nil {
+		e := EstimateLP(p.in)
+		p.lp = &e
+	}
+	return *p.lp
 }
 
 // FamilyFor maps an instance onto a cost-model family: nested windows
@@ -263,15 +282,11 @@ func FamilyFor(in *instance.Instance) string {
 // peak window overlap, which plays the same role as a difficulty
 // feature. Computed by an O(n log n) endpoint sweep.
 func Depth(in *instance.Instance) int {
-	n := in.N()
-	if n == 0 {
-		return 1
-	}
 	type event struct {
 		t     int64
 		delta int
 	}
-	events := make([]event, 0, 2*n)
+	events := make([]event, 0, 2*in.N())
 	for _, j := range in.Jobs {
 		events = append(events, event{j.Release, +1}, event{j.Deadline, -1})
 	}

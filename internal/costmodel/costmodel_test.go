@@ -268,3 +268,25 @@ func TestLoadRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestProfile: a profile carries the same facts the standalone
+// functions compute, and its LP estimate is computed once.
+func TestProfile(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	in := gen.RandomLaminar(rng, gen.DefaultLaminar(20, 3))
+	p := NewProfile(in)
+	if p.Family != FamilyFor(in) || p.Jobs != in.N() || p.Depth != Depth(in) {
+		t.Fatalf("profile %+v disagrees with FamilyFor/N/Depth", p)
+	}
+	if p.lp != nil {
+		t.Fatal("LP estimate computed before first use")
+	}
+	if got, want := p.LP(), EstimateLP(in); got != want {
+		t.Fatalf("LP() = %+v, want %+v", got, want)
+	}
+	first := p.lp
+	p.LP()
+	if p.lp != first {
+		t.Fatal("LP estimate recomputed")
+	}
+}

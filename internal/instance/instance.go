@@ -7,6 +7,7 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/interval"
@@ -77,7 +78,8 @@ func MustNew(g int64, jobs []Job) *Instance {
 var ErrInvalid = errors.New("instance: invalid")
 
 // Validate checks structural validity: g >= 1, every job has
-// p_j >= 1 and a window that can hold it, and IDs are dense.
+// p_j >= 1 and a window that can hold it, neither r_j+p_j nor d_j−r_j
+// overflows int64, and IDs are dense.
 func (in *Instance) Validate() error {
 	if in.G < 1 {
 		return fmt.Errorf("%w: g=%d < 1", ErrInvalid, in.G)
@@ -88,6 +90,13 @@ func (in *Instance) Validate() error {
 		}
 		if j.Processing < 1 {
 			return fmt.Errorf("%w: job %d has processing %d < 1", ErrInvalid, i, j.Processing)
+		}
+		// r+p and d−r must fit in int64: a wrapped sum passes the window
+		// check below, and downstream code sizes slices from d−r.
+		if j.Release > math.MaxInt64-j.Processing ||
+			(j.Release < 0 && j.Deadline > math.MaxInt64+j.Release) {
+			return fmt.Errorf("%w: job %d window [%d,%d) with p=%d overflows int64",
+				ErrInvalid, i, j.Release, j.Deadline, j.Processing)
 		}
 		if j.Deadline < j.Release+j.Processing {
 			return fmt.Errorf("%w: job %d window [%d,%d) shorter than p=%d",

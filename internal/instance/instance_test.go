@@ -3,6 +3,7 @@ package instance
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -29,10 +30,15 @@ func TestValidate(t *testing.T) {
 		{"zero processing", 1, []Job{{Processing: 0, Release: 0, Deadline: 1}}, false},
 		{"window too small", 1, []Job{{Processing: 3, Release: 0, Deadline: 2}}, false},
 		{"tight window", 1, []Job{{Processing: 2, Release: 0, Deadline: 2}}, true},
+		// d−r and r+p must fit in int64.
+		{"window length overflows", 1, []Job{{Processing: 1, Release: -5e18, Deadline: 5e18}}, false},
+		{"r+p overflows", 1, []Job{{Processing: 100, Release: math.MaxInt64 - 5, Deadline: math.MaxInt64}}, false},
+		{"widest window that fits", 1, []Job{{Processing: 1, Release: -4e18, Deadline: 4e18}}, true},
+		{"latest window that fits", 1, []Job{{Processing: 5, Release: math.MaxInt64 - 5, Deadline: math.MaxInt64}}, true},
 	}
 	for _, c := range cases {
 		_, err := New(c.g, c.jobs)
-		if (err == nil) != c.ok {
+		if (err == nil) != c.ok || (err != nil && !errors.Is(err, ErrInvalid)) {
 			t.Errorf("%s: err=%v ok=%v", c.name, err, c.ok)
 		}
 	}

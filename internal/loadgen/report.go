@@ -30,7 +30,8 @@ type PhaseStat struct {
 }
 
 // Report is the machine-readable outcome of one loadgen run; it is
-// what atload emits as JSON (and what BENCH_loadgen.json pins).
+// what atload emits as JSON. The service's benchmark of record is
+// bench/e2e, not this report.
 type Report struct {
 	GeneratedBy string `json:"generated_by"`
 	Model       string `json:"model"`

@@ -14,18 +14,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	rpprof "runtime/pprof"
 	"time"
 
-	activetime "repro"
-	"repro/internal/costmodel"
-	"repro/internal/instance"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -66,141 +61,58 @@ type JobCancelResponse struct {
 	State jobs.State `json:"state"`
 }
 
-// jobPayload carries one decoded, validated job request from the
-// submit handler to the runner.
-type jobPayload struct {
-	req     SolveRequest
-	in      *instance.Instance
-	alg     activetime.Algorithm
-	workers int
-	reqID   string
-	family  string
-	// ev accumulates the job's wide event across its lifecycle: the
-	// submit handler stamps identity/shape, the runner stamps solve
-	// fields, and the queue's Terminal callback emits it.
-	ev *obs.Event
-	// tr is the runner's span tracer, read by the Terminal callback
-	// for tail sampling (set by runJob before the solve starts; the
-	// write is ordered before the terminal transition by the worker
-	// goroutine, which calls complete only after runJob returns).
-	tr *trace.Tracer
-}
-
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	reqID := s.requestID(r)
-	w.Header().Set(RequestIDHeader, reqID)
-	log := s.log.With("request_id", reqID)
-
-	// The job's wide event: on admission it travels with the payload
-	// and is emitted at the terminal state; a rejected submission is
-	// itself the terminal outcome, so the event is emitted here.
-	began := time.Now()
-	ev := &obs.Event{RequestID: reqID, Path: obs.PathAsync, StartUnixNS: began.UnixNano()}
+	// The job's wide event: on admission it travels with the plan and
+	// is emitted at the terminal state; a rejected submission is itself
+	// the terminal outcome, so the event is emitted here.
+	p := s.newPlan(w, r, obs.PathAsync)
 	admitted := false
 	defer func() {
 		if !admitted {
-			ev.ElapsedMS = ms(time.Since(began))
-			s.obs.Emit(ev)
+			p.ev.ElapsedMS = ms(time.Since(p.began))
+			s.obs.Emit(p.ev)
 		}
 	}()
-	fail := func(status int, msg string) {
-		ev.Status = obs.StatusForHTTP(status, msg, false)
-		ev.HTTPStatus = status
-		ev.Error = msg
-		s.writeJSON(w, status, ErrorResponse{reqID, msg})
-	}
-
-	var req JobRequest
-	if status, msg := s.decodeRequest(w, r, &req); status != http.StatusOK {
-		log.Warn("job rejected", "reason", "bad_body", "status", status, "err", msg)
-		fail(status, msg)
+	if status, msg := s.prepare(w, r, p); status != http.StatusOK {
+		s.fail(w, p, status, msg)
 		return
 	}
-	if len(req.Instance) == 0 {
-		log.Warn("job rejected", "reason", "no_instance")
-		fail(http.StatusBadRequest, "missing instance")
-		return
-	}
-	in, err := instance.ReadJSON(bytes.NewReader(req.Instance))
-	if err != nil {
-		log.Warn("job rejected", "reason", "invalid_instance", "err", err)
-		fail(http.StatusBadRequest, "invalid instance: "+err.Error())
-		return
-	}
-	class := jobs.Class(req.Class)
-	if req.Class == "" {
-		class = jobs.ClassBatch
-	}
-	if !class.Valid() {
-		log.Warn("job rejected", "reason", "bad_class", "class", req.Class)
-		fail(http.StatusBadRequest,
-			fmt.Sprintf("unknown class %q (want interactive | batch | best_effort)", req.Class))
-		return
-	}
-	alg := activetime.Algorithm(req.Algorithm)
-	if req.Algorithm == "" {
-		alg = activetime.AlgAuto
-	}
-	workers := req.Workers
-	if workers < 1 {
-		workers = s.cfg.DefaultWorkers
-	}
-
-	family := costmodel.FamilyFor(in)
-	alg, routeReason, memErr := s.routeAlgorithm(in, alg)
-	// The event keeps the raw model output (the corrector's Observe
-	// needs it uncorrected); the queue and the client see the corrected
-	// estimate, which is what SJF ordering and capacity planning want.
-	rawPredicted := s.cost.PredictInstanceAlg(family, string(alg), in)
-	predicted := s.corr.Apply(family, string(alg), rawPredicted)
-	ev.Class = string(class)
-	ev.Algorithm = string(alg)
-	ev.RouteReason = routeReason
-	ev.Jobs = in.N()
-	ev.G = in.G
-	ev.Depth = costmodel.Depth(in)
-	ev.Family = family
-	ev.PredictedCostNS = rawPredicted
-	if memErr != nil {
-		log.Warn("job rejected", "reason", "lp_mem_cap", "err", memErr)
-		fail(http.StatusUnprocessableEntity, memErr.Error())
-		return
-	}
+	// The event keeps the raw model output; the queue and the client see
+	// the corrected estimate, which is what SJF ordering and capacity
+	// planning want.
+	predicted := s.corr.Apply(p.prof.Family, string(p.alg), p.ev.PredictedCostNS)
 	// Stamped before Submit: once the job is admitted, the worker may
 	// reach the terminal state (and touch ev) at any moment, so the
 	// handler must not write ev afterwards. The terminal callback adds
 	// the job id.
-	ev.Admission = obs.AdmissionQueued
-	j, err := s.queue.Submit(class, predicted, &jobPayload{
-		req: req.SolveRequest, in: in, alg: alg, workers: workers,
-		reqID: reqID, family: family, ev: ev,
-	})
+	p.ev.Admission = obs.AdmissionQueued
+	j, err := s.queue.Submit(jobs.Class(p.class), predicted, p)
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrShedAdmission):
-			log.Warn("job shed", "reason", "admission", "class", class, "err", err)
-			ev.Admission = obs.AdmissionShed
+			p.log.Warn("job shed", "reason", "admission", "class", p.class, "err", err)
+			p.ev.Admission = obs.AdmissionShed
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.AdmissionWait)))
-			fail(http.StatusTooManyRequests, err.Error())
+			s.fail(w, p, http.StatusTooManyRequests, err.Error())
 		case errors.Is(err, jobs.ErrClosed):
-			ev.Admission = obs.AdmissionShed
-			fail(http.StatusServiceUnavailable, err.Error())
+			p.ev.Admission = obs.AdmissionShed
+			s.fail(w, p, http.StatusServiceUnavailable, err.Error())
 		default:
-			ev.Admission = ""
-			fail(http.StatusBadRequest, err.Error())
+			p.ev.Admission = ""
+			s.fail(w, p, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
 	admitted = true
-	log.Info("job submitted", "job_id", j.ID(), "class", class,
-		"family", family, "predicted_ns", predicted, "jobs", in.N(), "g", in.G)
+	p.log.Info("job submitted", "job_id", j.ID(), "class", p.class,
+		"family", p.prof.Family, "predicted_ns", predicted, "jobs", p.in.N(), "g", p.in.G)
 	s.writeJSON(w, http.StatusAccepted, JobSubmitResponse{
-		RequestID:       reqID,
+		RequestID:       p.reqID,
 		JobID:           j.ID(),
 		State:           jobs.StateQueued,
-		Class:           class,
+		Class:           jobs.Class(p.class),
 		PredictedCostNS: predicted,
-		CostFamily:      family,
+		CostFamily:      p.prof.Family,
 		Policy:          s.queue.Policy().Name(),
 	})
 }
@@ -288,14 +200,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runJob executes one queued job: the same decode-validated solve the
-// synchronous path runs, under the job's cancellation context and the
-// configured solve timeout, with finished solver spans fed into the
-// job's event stream as they complete.
+// runJob executes one queued job through the same run step as /solve,
+// under the job's cancellation context and the configured solve
+// timeout, with finished solver spans fed into the job's event stream
+// as they complete.
 func (s *Server) runJob(ctx context.Context, j *jobs.Job) (any, error) {
-	p := j.Payload().(*jobPayload)
-	log := s.log.With("request_id", p.reqID, "job_id", j.ID())
-
+	p := j.Payload().(*plan)
 	if timeout := s.solveTimeout(p.req); timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -304,7 +214,9 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job) (any, error) {
 
 	// Feed finished spans into the job's SSE stream while the solve
 	// runs; a final flush after completion catches the tail. The same
-	// tracer backs tail sampling at the terminal state.
+	// tracer backs tail sampling at the terminal state (the write is
+	// ordered before the terminal transition by the worker goroutine,
+	// which calls complete only after runJob returns).
 	tr := trace.New()
 	p.tr = tr
 	emitted := 0
@@ -331,58 +243,15 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job) (any, error) {
 		}
 	}()
 
-	log.Info("job start", "class", j.Class(), "algorithm", string(p.alg),
-		"jobs", p.in.N(), "predicted_ns", j.PredictedNS())
-	start := time.Now()
-	var res *activetime.Result
-	var cached bool
-	var warmKind string
-	var err error
-	// Goroutine labels segment CPU/heap profiles by workload class.
-	rpprof.Do(ctx, rpprof.Labels(
-		"request_id", p.reqID, "class", string(j.Class()), "algorithm", string(p.alg), "family", p.family,
-	), func(ctx context.Context) {
-		res, cached, warmKind, err = s.executeSolve(ctx, solveParams{
-			req: p.req, in: p.in, alg: p.alg, workers: p.workers, tr: tr, ev: p.ev,
-		})
-	})
-	elapsed := time.Since(start)
+	p.log.Info("job start", "job_id", j.ID(), "predicted_ns", j.PredictedNS())
+	out, _, err := s.run(ctx, p)
 	close(stop)
 	<-feederDone
 	flush()
-
 	if err != nil {
-		st := solveStatus(err)
-		if st == http.StatusServiceUnavailable {
-			s.observeCancellation(err)
-		}
-		if p.ev != nil {
-			p.ev.Status = obs.StatusForHTTP(st, err.Error(), false)
-			p.ev.Error = err.Error()
-		}
-		log.Warn("job failed", "err", err, "elapsed_ms", ms(elapsed))
 		return nil, err
 	}
-	if p.ev != nil {
-		p.ev.Status = obs.StatusForHTTP(http.StatusOK, "", cached)
-		if res != nil {
-			p.ev.ActiveSlots = res.ActiveSlots
-		}
-	}
-
-	// The stored result includes the Chrome trace only when the client
-	// asked for it; the span events are in the SSE stream regardless.
-	rp := solveParams{req: p.req, in: p.in}
-	if p.req.IncludeTrace {
-		rp.tr = tr
-	}
-	out, err := s.buildSolveResponse(p.reqID, rp, res, cached, warmKind, elapsed)
-	if err != nil {
-		log.Error("encode job result", "err", err)
-		return nil, fmt.Errorf("encode schedule: %w", err)
-	}
-	log.Info("job done", "active_slots", res.ActiveSlots, "elapsed_ms", out.ElapsedMS)
-	return &out, nil
+	return out, nil
 }
 
 // onJobTerminal is the queue's Terminal callback: it finalizes and
@@ -391,8 +260,8 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job) (any, error) {
 // it must not call back into the queue; the obs pipeline takes only
 // its own locks.
 func (s *Server) onJobTerminal(j *jobs.Job, state jobs.State, detail string, wait, exec, total time.Duration) {
-	p, ok := j.Payload().(*jobPayload)
-	if !ok || p.ev == nil {
+	p, ok := j.Payload().(*plan)
+	if !ok {
 		return
 	}
 	ev := p.ev

@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	rpprof "runtime/pprof"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -226,14 +227,14 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // event ring and retained traces directly.
 func (s *Server) Obs() *obs.Pipeline { return s.obs }
 
-// StartDraining marks the server as shutting down: /healthz flips to
-// "draining" (503) so health probes eject this replica from routing
-// while in-flight requests are still being served. Idempotent; there
-// is deliberately no way back — a draining process is on its way out.
 // Corrector exposes the online cost-model feedback state (read by
 // /debug/costmodel and by tests).
 func (s *Server) Corrector() *costmodel.Corrector { return s.corr }
 
+// StartDraining marks the server as shutting down: /healthz flips to
+// "draining" (503) so health probes eject this replica from routing
+// while in-flight requests are still being served. Idempotent; there
+// is deliberately no way back — a draining process is on its way out.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
 // Draining reports whether StartDraining has been called.
@@ -415,14 +416,15 @@ func solveStatus(err error) int {
 	}
 }
 
-// routeAlgorithm resolves AlgAuto through the router and enforces the
-// -max-solve-mem backstop on explicitly forced LP solves. It returns
-// the concrete algorithm, the routing reason (empty unless the request
-// asked for auto), and a non-nil error when a forced LP's estimated
-// tableau exceeds the cap — the request must be rejected with 422, not
-// allowed to run the process out of memory.
-func (s *Server) routeAlgorithm(in *instance.Instance, alg activetime.Algorithm) (activetime.Algorithm, string, error) {
-	if alg == activetime.AlgAuto {
+// route resolves AlgAuto through the router and checks the requested
+// algorithm, returning the routing reason (empty unless the request
+// asked for auto). An unknown algorithm, or an explicitly forced LP
+// whose estimated tableau exceeds -max-solve-mem, is an error the
+// request is rejected with (422) before admission or queueing — never
+// a solve that runs the process out of memory.
+func (s *Server) route(p *plan) (string, error) {
+	switch p.alg {
+	case activetime.AlgAuto:
 		var lim activetime.RouteLimits
 		// An operator cap tighter than the router's default LP budget
 		// also tightens routing, so auto never picks an LP the backstop
@@ -430,18 +432,22 @@ func (s *Server) routeAlgorithm(in *instance.Instance, alg activetime.Algorithm)
 		if c := s.cfg.MaxSolveMemBytes; c > 0 && c < activetime.DefaultRouteLimits().MaxLPTableauBytes {
 			lim.MaxLPTableauBytes = c
 		}
-		dec := activetime.Route(in, s.cost, lim)
-		return dec.Algorithm, dec.Reason, nil
-	}
-	if alg == activetime.AlgNested95 && s.cfg.MaxSolveMemBytes > 0 {
-		if est := costmodel.EstimateLP(in); est.TableauBytes > s.cfg.MaxSolveMemBytes {
-			return alg, "", fmt.Errorf(
-				"nested95 LP tableau needs at least %d bytes (server cap %d): use algorithm %q or %q",
-				est.TableauBytes, s.cfg.MaxSolveMemBytes,
-				activetime.AlgCombinatorial, activetime.AlgAuto)
+		dec := activetime.RouteProfile(p.prof, s.cost, lim)
+		p.alg = dec.Algorithm
+		return dec.Reason, nil
+	case activetime.AlgNested95:
+		if c := s.cfg.MaxSolveMemBytes; c > 0 {
+			if est := p.prof.LP(); est.TableauBytes > c {
+				return "", fmt.Errorf(
+					"nested95 LP tableau needs at least %d bytes (server cap %d): use algorithm %q or %q",
+					est.TableauBytes, c, activetime.AlgCombinatorial, activetime.AlgAuto)
+			}
 		}
 	}
-	return alg, "", nil
+	if !slices.Contains(activetime.Algorithms(), p.alg) {
+		return "", fmt.Errorf("activetime: unknown algorithm %q", p.alg)
+	}
+	return "", nil
 }
 
 // retryAfterSeconds converts the configured admission wait into the
@@ -468,101 +474,211 @@ func (s *Server) observeCancellation(err error) {
 	}
 }
 
+// plan is one request's prepared solve, shared by /solve and POST
+// /jobs: prepare fills it from the body, run executes it (for /solve
+// in the handler, for a job in the queue's runner).
+type plan struct {
+	reqID string
+	log   *slog.Logger
+	began time.Time
+	// class labels profiles: "sync" for /solve, the SLO class for a job.
+	class   string
+	req     SolveRequest
+	in      *instance.Instance
+	prof    *costmodel.Profile
+	alg     activetime.Algorithm
+	workers int
+	// tr is the request-scoped tracer: set for include_trace on /solve
+	// and for every job (its spans feed the SSE stream and, for jobs,
+	// tail sampling at the terminal state). Traced solves bypass the
+	// cache; the response carries the trace only for include_trace.
+	tr *trace.Tracer
+	// sampleTr is /solve's tail-sampling tracer: unlike tr it does not
+	// bypass the cache — a cache miss's flight records its spans here,
+	// a hit or coalesced wait simply yields no solver spans.
+	sampleTr *trace.Tracer
+	// ev accumulates the request's wide event. Solve fields are written
+	// only after the cache flight resolves, never from inside it
+	// (detached flights outlive the request that opened them). A job's
+	// event travels with the plan and is emitted at its terminal state.
+	ev *obs.Event
+}
+
+// newPlan starts a request: it resolves and echoes the request id and
+// opens the wide event.
+func (s *Server) newPlan(w http.ResponseWriter, r *http.Request, path string) *plan {
+	reqID := s.requestID(r)
+	w.Header().Set(RequestIDHeader, reqID)
+	began := time.Now()
+	return &plan{
+		reqID: reqID,
+		log:   s.log.With("request_id", reqID),
+		began: began,
+		ev:    &obs.Event{RequestID: reqID, Path: path, StartUnixNS: began.UnixNano()},
+	}
+}
+
+// prepare fills p from a /solve or POST /jobs body: strict decoding,
+// instance validation, the job class (POST /jobs only), the algorithm
+// and worker defaults, the instance profile, routing with the
+// -max-solve-mem gate and the name check, and the wide event's shape
+// fields. A status other than 200 rejects the request with msg.
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, p *plan) (int, string) {
+	reject := func(reason string, status int, msg string) (int, string) {
+		p.log.Warn("request rejected", "reason", reason, "status", status, "err", msg)
+		return status, msg
+	}
+	async := p.ev.Path == obs.PathAsync
+	// /solve decodes only the SolveRequest part, so a "class" field
+	// there is an unknown field.
+	var body JobRequest
+	var dst any = &body.SolveRequest
+	if async {
+		dst = &body
+	}
+	if status, msg := s.decodeRequest(w, r, dst); status != http.StatusOK {
+		return reject("bad_body", status, msg)
+	}
+	p.req = body.SolveRequest
+	if len(p.req.Instance) == 0 {
+		return reject("no_instance", http.StatusBadRequest, "missing instance")
+	}
+	in, err := instance.ReadJSON(bytes.NewReader(p.req.Instance))
+	if err != nil {
+		return reject("invalid_instance", http.StatusBadRequest, "invalid instance: "+err.Error())
+	}
+	p.in = in
+	p.class = "sync"
+	if async {
+		class := jobs.Class(body.Class)
+		if body.Class == "" {
+			class = jobs.ClassBatch
+		}
+		if !class.Valid() {
+			return reject("bad_class", http.StatusBadRequest,
+				fmt.Sprintf("unknown class %q (want interactive | batch | best_effort)", body.Class))
+		}
+		p.class = string(class)
+		p.ev.Class = p.class
+	}
+	p.alg = activetime.Algorithm(p.req.Algorithm)
+	if p.req.Algorithm == "" {
+		p.alg = activetime.AlgAuto
+	}
+	p.workers = p.req.Workers
+	if p.workers < 1 {
+		p.workers = s.cfg.DefaultWorkers
+	}
+	p.prof = costmodel.NewProfile(in)
+	reason, routeErr := s.route(p)
+	p.ev.Algorithm = string(p.alg)
+	p.ev.RouteReason = reason
+	p.ev.Jobs = p.prof.Jobs
+	p.ev.G = in.G
+	p.ev.Depth = p.prof.Depth
+	p.ev.Family = p.prof.Family
+	// The raw model output: the corrector's Observe needs it uncorrected.
+	p.ev.PredictedCostNS = s.cost.PredictAlgNS(p.prof.Family, string(p.alg), p.prof.Jobs, p.prof.Depth)
+	if routeErr != nil {
+		return reject("route", http.StatusUnprocessableEntity, routeErr.Error())
+	}
+	return http.StatusOK, ""
+}
+
+// fail resolves a request with an error body and stamps the event's
+// terminal fields from the same status and message.
+func (s *Server) fail(w http.ResponseWriter, p *plan, status int, msg string) {
+	p.ev.Status = obs.StatusForHTTP(status, msg, false)
+	p.ev.HTTPStatus = status
+	p.ev.Error = msg
+	s.writeJSON(w, status, ErrorResponse{p.reqID, msg})
+}
+
+// run executes a prepared plan under ctx for /solve and the job runner
+// alike: profiler labels, executeSolve, the error-to-status mapping and
+// the response. It stamps the event's outcome; a non-nil error comes
+// with its HTTP status.
+func (s *Server) run(ctx context.Context, p *plan) (*SolveResponse, int, error) {
+	p.log.Info("solve start", "class", p.class, "algorithm", string(p.alg),
+		"jobs", p.in.N(), "g", p.in.G, "workers", p.workers)
+	start := time.Now()
+	var res *activetime.Result
+	var cached bool
+	var warmKind string
+	var err error
+	// Goroutine labels segment CPU/heap profiles by workload class.
+	rpprof.Do(ctx, rpprof.Labels(
+		"request_id", p.reqID, "class", p.class, "algorithm", string(p.alg), "family", p.prof.Family,
+	), func(ctx context.Context) {
+		res, cached, warmKind, err = s.executeSolve(ctx, p)
+	})
+	elapsed := time.Since(start)
+
+	status := http.StatusOK
+	var out SolveResponse
+	if err != nil {
+		status = solveStatus(err)
+		if status == http.StatusServiceUnavailable {
+			s.observeCancellation(err)
+		}
+	} else if out, err = s.buildSolveResponse(p, res, cached, warmKind, elapsed); err != nil {
+		status, err = http.StatusInternalServerError, fmt.Errorf("encode schedule: %w", err)
+	}
+	if err != nil {
+		p.log.Warn("solve failed", "err", err, "status", status, "elapsed_ms", ms(elapsed))
+		p.ev.Status = obs.StatusForHTTP(status, err.Error(), false)
+		p.ev.Error = err.Error()
+		return nil, status, err
+	}
+	p.ev.Status = obs.StatusForHTTP(http.StatusOK, "", cached)
+	p.ev.ActiveSlots = res.ActiveSlots
+	p.log.Info("solve done", "algorithm", string(res.Algorithm), "active_slots", res.ActiveSlots,
+		"cached", cached, "warm_kind", warmKind, "elapsed_ms", out.ElapsedMS)
+	return &out, status, nil
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.reg.RequestStarted()
 	defer s.reg.RequestFinished()
-
-	reqID := s.requestID(r)
-	w.Header().Set(RequestIDHeader, reqID)
-	log := s.log.With("request_id", reqID)
 
 	// One wide event per request, emitted when the outcome is final.
 	// The sampling tracer shadows every request so tail sampling has a
 	// full span trace to retain when the outcome turns out interesting;
 	// a request-level root span brackets the whole handler.
-	began := time.Now()
-	ev := &obs.Event{RequestID: reqID, Path: obs.PathSync, StartUnixNS: began.UnixNano()}
-	var sampleTr *trace.Tracer
+	p := s.newPlan(w, r, obs.PathSync)
 	var rootSpan *trace.Span
 	if s.obs.Enabled() {
-		sampleTr = trace.New()
-		rootSpan = sampleTr.StartSpan("request", trace.String("request_id", reqID))
+		p.sampleTr = trace.New()
+		rootSpan = p.sampleTr.StartSpan("request", trace.String("request_id", p.reqID))
 	}
 	defer func() {
-		elapsed := time.Since(began)
-		ev.ElapsedMS = ms(elapsed)
-		if sampleTr != nil && s.obs.ShouldRetain(ev.Status, elapsed) {
+		elapsed := time.Since(p.began)
+		p.ev.ElapsedMS = ms(elapsed)
+		if p.sampleTr != nil && s.obs.ShouldRetain(p.ev.Status, elapsed) {
 			rootSpan.End()
-			s.obs.RetainTrace(reqID, sampleTr.Spans())
-			ev.TraceSampled = true
+			s.obs.RetainTrace(p.reqID, p.sampleTr.Spans())
+			p.ev.TraceSampled = true
 		}
-		s.obs.Emit(ev)
+		s.obs.Emit(p.ev)
 	}()
-	// fail resolves the request with an error body and stamps the
-	// event's terminal fields from the same status/message.
-	fail := func(status int, msg string) {
-		ev.Status = obs.StatusForHTTP(status, msg, false)
-		ev.HTTPStatus = status
-		ev.Error = msg
-		s.writeJSON(w, status, ErrorResponse{reqID, msg})
-	}
 
 	if r.Method != http.MethodPost {
-		log.Warn("solve rejected", "reason", "method", "method", r.Method)
-		fail(http.StatusMethodNotAllowed, "POST required")
+		p.log.Warn("request rejected", "reason", "method", "method", r.Method)
+		s.fail(w, p, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-
-	var req SolveRequest
-	if status, msg := s.decodeRequest(w, r, &req); status != http.StatusOK {
-		log.Warn("solve rejected", "reason", "bad_body", "status", status, "err", msg)
-		fail(status, msg)
+	if status, msg := s.prepare(w, r, p); status != http.StatusOK {
+		s.fail(w, p, status, msg)
 		return
 	}
-	if len(req.Instance) == 0 {
-		log.Warn("solve rejected", "reason", "no_instance")
-		fail(http.StatusBadRequest, "missing instance")
-		return
-	}
-	in, err := instance.ReadJSON(bytes.NewReader(req.Instance))
-	if err != nil {
-		log.Warn("solve rejected", "reason", "invalid_instance", "err", err)
-		fail(http.StatusBadRequest, "invalid instance: "+err.Error())
-		return
-	}
-
-	alg := activetime.Algorithm(req.Algorithm)
-	if req.Algorithm == "" {
-		alg = activetime.AlgAuto
-	}
-	workers := req.Workers
-	if workers < 1 {
-		workers = s.cfg.DefaultWorkers
-	}
-	var tr *trace.Tracer
-	if req.IncludeTrace {
-		tr = trace.New()
-	}
-
-	family := costmodel.FamilyFor(in)
-	alg, routeReason, memErr := s.routeAlgorithm(in, alg)
-	ev.Algorithm = string(alg)
-	ev.RouteReason = routeReason
-	ev.Jobs = in.N()
-	ev.G = in.G
-	ev.Depth = costmodel.Depth(in)
-	ev.Family = family
-	ev.PredictedCostNS = s.cost.PredictInstanceAlg(family, string(alg), in)
-	if memErr != nil {
-		log.Warn("solve rejected", "reason", "lp_mem_cap", "err", memErr)
-		fail(http.StatusUnprocessableEntity, memErr.Error())
-		return
+	if p.req.IncludeTrace {
+		p.tr = trace.New()
 	}
 
 	// The request context carries client disconnects; layer the solve
 	// deadline on top.
 	ctx := r.Context()
-	if timeout := s.solveTimeout(req); timeout > 0 {
+	if timeout := s.solveTimeout(p.req); timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
@@ -570,7 +686,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Admission control: take an in-flight slot, waiting briefly for
 	// one to free up before shedding.
-	ev.Admission = obs.AdmissionAdmitted
+	p.ev.Admission = obs.AdmissionAdmitted
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}:
@@ -582,91 +698,36 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			case s.sem <- struct{}{}:
 				s.reg.AdmissionWaitFinished()
 				wait.Stop()
-				ev.QueueWaitMS = ms(time.Since(waitStart))
+				p.ev.QueueWaitMS = ms(time.Since(waitStart))
 			case <-wait.C:
 				s.reg.AdmissionWaitFinished()
 				s.reg.AdmissionShed()
-				ev.Admission = obs.AdmissionShed
-				ev.QueueWaitMS = ms(time.Since(waitStart))
-				log.Warn("solve rejected", "reason", "saturated", "max_inflight", s.cfg.MaxInFlight)
+				p.ev.Admission = obs.AdmissionShed
+				p.ev.QueueWaitMS = ms(time.Since(waitStart))
+				p.log.Warn("request rejected", "reason", "saturated", "max_inflight", s.cfg.MaxInFlight)
 				w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.AdmissionWait)))
-				fail(http.StatusTooManyRequests, "server saturated: too many solves in flight")
+				s.fail(w, p, http.StatusTooManyRequests, "server saturated: too many solves in flight")
 				return
 			case <-ctx.Done():
 				s.reg.AdmissionWaitFinished()
 				wait.Stop()
 				s.observeCancellation(ctx.Err())
-				ev.QueueWaitMS = ms(time.Since(waitStart))
-				log.Warn("solve canceled", "reason", "ctx_during_admission", "err", ctx.Err())
-				fail(http.StatusServiceUnavailable, ctx.Err().Error())
+				p.ev.QueueWaitMS = ms(time.Since(waitStart))
+				p.log.Warn("solve canceled", "reason", "ctx_during_admission", "err", ctx.Err())
+				s.fail(w, p, http.StatusServiceUnavailable, ctx.Err().Error())
 				return
 			}
 		}
 		defer func() { <-s.sem }()
 	}
 
-	log.Info("solve start", "algorithm", string(alg), "jobs", in.N(), "g", in.G, "workers", workers)
-
-	start := time.Now()
-	var res *activetime.Result
-	var cached bool
-	var warmKind string
-	// Goroutine labels segment CPU/heap profiles by workload class.
-	rpprof.Do(ctx, rpprof.Labels(
-		"request_id", reqID, "class", "sync", "algorithm", string(alg), "family", family,
-	), func(ctx context.Context) {
-		res, cached, warmKind, err = s.executeSolve(ctx, solveParams{
-			req: req, in: in, alg: alg, workers: workers, tr: tr, sampleTr: sampleTr, ev: ev,
-		})
-	})
-	elapsed := time.Since(start)
-
+	out, status, err := s.run(ctx, p)
 	if err != nil {
-		status := solveStatus(err)
-		if status == http.StatusServiceUnavailable {
-			s.observeCancellation(err)
-		}
-		log.Warn("solve failed", "err", err, "status", status,
-			"elapsed_ms", float64(elapsed.Microseconds())/1e3)
-		fail(status, err.Error())
+		s.fail(w, p, status, err.Error())
 		return
 	}
-
-	out, err := s.buildSolveResponse(reqID, solveParams{req: req, in: in, tr: tr}, res, cached, warmKind, elapsed)
-	if err != nil {
-		log.Error("encode schedule", "err", err)
-		fail(http.StatusInternalServerError, "encode schedule: "+err.Error())
-		return
-	}
-	ev.Status = obs.StatusForHTTP(http.StatusOK, "", cached)
-	ev.HTTPStatus = http.StatusOK
-	ev.ActiveSlots = res.ActiveSlots
-	log.Info("solve done",
-		"algorithm", string(res.Algorithm),
-		"active_slots", res.ActiveSlots,
-		"cached", cached,
-		"warm_kind", warmKind,
-		"elapsed_ms", out.ElapsedMS)
+	p.ev.HTTPStatus = http.StatusOK
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-// solveParams carries one solve's decoded, validated inputs through
-// the shared execution path used by both the synchronous /solve
-// handler and the async job runner.
-type solveParams struct {
-	req     SolveRequest
-	in      *instance.Instance
-	alg     activetime.Algorithm
-	workers int
-	tr      *trace.Tracer
-	// sampleTr is the tail-sampling tracer: unlike tr it does not
-	// bypass the cache — a cache miss's flight records its spans here,
-	// a hit or coalesced wait simply yields no solver spans.
-	sampleTr *trace.Tracer
-	// ev, when non-nil, receives the solve's cache/cost fields; it is
-	// written only after the cache flight resolves, never from inside
-	// it (detached flights outlive the request that opened them).
-	ev *obs.Event
 }
 
 // solveOutcome is the solve cache's value: the shared result plus the
@@ -696,7 +757,7 @@ func (o *solveOutcome) StripWarm()       { o.warm.Store(nil) }
 // must retain resumable state (nested95's flow network, the
 // combinatorial solver's activation state). Compact repacking
 // invalidates the retained placement, so compact solves stay cold.
-func (s *Server) warmEligible(p solveParams) bool {
+func (s *Server) warmEligible(p *plan) bool {
 	if s.cache == nil || s.cfg.CacheWarmBytes <= 0 || p.req.Compact {
 		return false
 	}
@@ -710,7 +771,7 @@ func (s *Server) warmEligible(p solveParams) bool {
 // warm state is stripped (so the same key cannot fall back twice), the
 // fallback counted, and fellBack returned true — the caller solves
 // cold.
-func (s *Server) tryWarmSolve(ctx context.Context, canonIn *instance.Instance, p solveParams, structKey solvecache.Key, capture bool) (out *solveOutcome, fellBack bool) {
+func (s *Server) tryWarmSolve(ctx context.Context, canonIn *instance.Instance, p *plan, structKey solvecache.Key, capture bool) (out *solveOutcome, fellBack bool) {
 	for _, ck := range s.cache.Similar(structKey) {
 		cand, ok := s.cache.Peek(ck)
 		if !ok || cand == nil {
@@ -766,11 +827,34 @@ func (s *Server) tryWarmSolve(ctx context.Context, canonIn *instance.Instance, p
 // executeSolve runs one solve through the shared path: registry
 // accounting, the canonicalization-keyed cache (bypassed for traced
 // solves, whose spans belong to a single request), near-miss warm
-// starts, and schedule relabeling for cached hits. It returns the
-// result, whether it was served from cache, and the warm-start kind
-// ("" for a cold solve).
-func (s *Server) executeSolve(ctx context.Context, p solveParams) (*activetime.Result, bool, string, error) {
+// starts, and schedule relabeling for results solved in canonical job
+// order. It returns the result, whether it was served from cache, and
+// the warm-start kind ("" for a cold solve).
+func (s *Server) executeSolve(ctx context.Context, p *plan) (*activetime.Result, bool, string, error) {
+	useCache := s.cache != nil && p.tr == nil
 	warmable := s.warmEligible(p)
+
+	// The key canonicalizes the instance (job order and IDs do not
+	// matter) plus everything that changes the result; the worker
+	// count does not (results are identical at any parallelism).
+	// Cached and warm results must serve every job ordering that maps
+	// to the key, so they are solved on the canonically sorted instance
+	// and each request relabels the schedule back to its own job IDs.
+	// One sort serves both keys and the relabeling.
+	var canon solvecache.Canonical
+	var canonIn *instance.Instance
+	var key, structK solvecache.Key
+	if useCache || warmable {
+		canon = solvecache.Canonicalize(p.in)
+		canonIn = p.in.Permute(canon.Order)
+		alg, flags := string(p.alg), []bool{p.req.ExactLP, p.req.Minimalize, p.req.Compact}
+		if useCache {
+			key = canon.Key(alg, flags...)
+		}
+		if warmable {
+			structK = canon.StructKey(alg, flags...)
+		}
+	}
 
 	// runSolve executes one real cold solve of solveIn under the given
 	// context (the request's, or — when coalesced behind the cache — a
@@ -821,148 +905,119 @@ func (s *Server) executeSolve(ctx context.Context, p solveParams) (*activetime.R
 		return out, err
 	}
 
-	// fillEvent stamps the solve's observability fields once the
-	// outcome is known (same goroutine as the caller — safe).
-	fillEvent := func(cacheOutcome string, key string, out *solveOutcome, err error) {
-		if p.ev == nil {
-			return
-		}
-		p.ev.Cache = cacheOutcome
-		p.ev.CacheKey = key
-		if err == nil && out != nil {
-			p.ev.MeasuredNS = out.solveNS
-			p.ev.SolveMS = float64(out.solveNS) / 1e6
-			if out.warmKind != "" {
-				p.ev.WarmStart = true
-				p.ev.WarmKind = out.warmKind
-				// Re-predict with the warm discount so the event's
-				// predicted-vs-measured comparison describes the solve
-				// that actually ran.
-				p.ev.PredictedCostNS = s.cost.PredictWarmNS(
-					p.ev.Family, string(p.alg), out.warmKind, p.ev.Jobs, p.ev.Depth)
-			}
-			p.ev.WarmFallback = out.warmFallback
-			if out.res != nil {
-				p.ev.FillStats(out.res.Stats)
-			}
-			// Feed fresh cold solves (not cache hits — solveNS there is
-			// the original flight's, already observed once — and not warm
-			// resumes, whose cost the cold-fitted model cannot explain)
-			// back into the cost-model corrector. PredictedCostNS is the
-			// raw model output, which is what Observe requires.
-			if out.warmKind == "" {
-				switch cacheOutcome {
-				case obs.CacheMiss, obs.CacheOff, obs.CacheBypass:
-					s.corr.Observe(p.ev.Family, string(p.alg), p.ev.PredictedCostNS, out.solveNS)
-				}
-			}
-		}
-	}
-
-	if s.cache == nil || p.tr != nil {
-		cacheOutcome := obs.CacheOff
-		if s.cache != nil {
-			cacheOutcome = obs.CacheBypass
-		}
-		// Traced solves bypass the cache (their spans belong to one
-		// request) but can still resume similar entries' warm state —
-		// this is how async jobs, which always trace for their SSE
-		// stream, get warm starts. Nothing is retained: the outcome is
-		// never cached.
+	// solve resumes a similar entry's warm state when it can and solves
+	// cold otherwise. A cached flight solves the canonical instance and
+	// retains warm state; a cache bypass retains nothing (its outcome is
+	// never cached) and solves the request's own job order cold. After a
+	// fallback the cold outcome (with its fresh warm state) replaces the
+	// stripped entry under this key, so the same near-miss never falls
+	// back twice.
+	solve := func(ctx context.Context) (*solveOutcome, error) {
 		var fellBack bool
 		if warmable {
-			order := solvecache.CanonicalOrder(p.in)
-			canonIn := p.in.Permute(order)
-			structK := solvecache.StructKeyFor(p.in, string(p.alg), p.req.ExactLP, p.req.Minimalize, p.req.Compact)
-			wout, fb := s.tryWarmSolve(ctx, canonIn, p, structK, false)
-			fellBack = fb
-			if wout != nil {
-				fillEvent(cacheOutcome, "", wout, nil)
-				res := wout.res
-				if p.req.IncludeSchedule {
-					relabeled := *res
-					relabeled.Schedule = res.Schedule.Relabel(order)
-					res = &relabeled
-				}
-				return res, false, wout.warmKind, nil
-			}
-		}
-		out, err := runSolve(ctx, p.in, false)
-		if out != nil {
-			out.warmFallback = fellBack
-		}
-		fillEvent(cacheOutcome, "", out, err)
-		if out == nil {
-			return nil, false, "", err
-		}
-		return out.res, false, "", err
-	}
-
-	// The key canonicalizes the instance (job order and IDs do not
-	// matter) plus everything that changes the result; the worker
-	// count does not (results are identical at any parallelism).
-	// Cached results must serve every job ordering that maps to the
-	// key, so the flight solves the canonically sorted instance and
-	// each request relabels the schedule back to its own job IDs.
-	key := solvecache.KeyFor(p.in, string(p.alg), p.req.ExactLP, p.req.Minimalize, p.req.Compact)
-	order := solvecache.CanonicalOrder(p.in)
-	canonIn := p.in.Permute(order)
-	var structK solvecache.Key
-	if warmable {
-		structK = solvecache.StructKeyFor(p.in, string(p.alg), p.req.ExactLP, p.req.Minimalize, p.req.Compact)
-	}
-	out, outcome, err := s.cache.DoIndexed(ctx, key, structK, func(ctx context.Context) (*solveOutcome, error) {
-		var fellBack bool
-		if warmable {
-			wout, fb := s.tryWarmSolve(ctx, canonIn, p, structK, true)
+			wout, fb := s.tryWarmSolve(ctx, canonIn, p, structK, useCache)
 			if wout != nil {
 				return wout, nil
 			}
 			fellBack = fb
 		}
-		cout, cerr := runSolve(ctx, canonIn, warmable)
-		if cout != nil {
-			// After a fallback the cold outcome (with its fresh warm
-			// state) replaces the stripped entry under this key, so the
-			// same near-miss never falls back twice.
-			cout.warmFallback = fellBack
+		solveIn := p.in
+		if useCache {
+			solveIn = canonIn
 		}
-		return cout, cerr
-	})
-	cached := false
-	cacheOutcome := obs.CacheMiss
-	switch outcome {
-	case solvecache.Hit:
-		s.reg.CacheHit()
-		cached = true
-		cacheOutcome = obs.CacheHit
-	case solvecache.Miss:
-		s.reg.CacheMiss()
-	case solvecache.Coalesced:
-		s.reg.CacheCoalesced()
-		cacheOutcome = obs.CacheCoalesced
+		out, err := runSolve(ctx, solveIn, useCache && warmable)
+		if out != nil {
+			out.warmFallback = fellBack
+		}
+		return out, err
 	}
-	fillEvent(cacheOutcome, fmt.Sprintf("%x", key), out, err)
+
+	var out *solveOutcome
+	var err error
+	cached := false
+	cacheOutcome, keyHex := obs.CacheOff, ""
+	if !useCache {
+		// Traced solves bypass the cache (their spans belong to one
+		// request) but can still resume similar entries' warm state —
+		// this is how async jobs, which always trace for their SSE
+		// stream, get warm starts.
+		if s.cache != nil {
+			cacheOutcome = obs.CacheBypass
+		}
+		out, err = solve(ctx)
+	} else {
+		var outcome solvecache.Outcome
+		out, outcome, err = s.cache.DoIndexed(ctx, key, structK, solve)
+		cacheOutcome, keyHex = obs.CacheMiss, fmt.Sprintf("%x", key)
+		switch outcome {
+		case solvecache.Hit:
+			s.reg.CacheHit()
+			cached = true
+			cacheOutcome = obs.CacheHit
+		case solvecache.Miss:
+			s.reg.CacheMiss()
+		case solvecache.Coalesced:
+			s.reg.CacheCoalesced()
+			cacheOutcome = obs.CacheCoalesced
+		}
+	}
+	s.fillEvent(p, cacheOutcome, keyHex, out, err)
 	if err != nil || out == nil {
 		return nil, cached, "", err
 	}
 	res := out.res
-	if p.req.IncludeSchedule {
+	if p.req.IncludeSchedule && (useCache || out.warmKind != "") {
 		// The cached Result is shared across requests: relabel into
 		// a copy, never in place.
 		relabeled := *res
-		relabeled.Schedule = res.Schedule.Relabel(order)
+		relabeled.Schedule = res.Schedule.Relabel(canon.Order)
 		res = &relabeled
 	}
-	return res, cached, out.warmKind, err
+	return res, cached, out.warmKind, nil
+}
+
+// fillEvent stamps the solve's observability fields once the outcome
+// is known (on the caller's goroutine, never from inside a flight).
+func (s *Server) fillEvent(p *plan, cacheOutcome, key string, out *solveOutcome, err error) {
+	ev := p.ev
+	ev.Cache = cacheOutcome
+	ev.CacheKey = key
+	if err != nil || out == nil {
+		return
+	}
+	ev.MeasuredNS = out.solveNS
+	ev.SolveMS = float64(out.solveNS) / 1e6
+	if out.warmKind != "" {
+		ev.WarmStart = true
+		ev.WarmKind = out.warmKind
+		// Re-predict with the warm discount so the event's
+		// predicted-vs-measured comparison describes the solve that
+		// actually ran.
+		ev.PredictedCostNS = s.cost.PredictWarmNS(
+			p.prof.Family, string(p.alg), out.warmKind, p.prof.Jobs, p.prof.Depth)
+	}
+	ev.WarmFallback = out.warmFallback
+	if out.res != nil {
+		ev.FillStats(out.res.Stats)
+	}
+	// Feed fresh cold solves (not cache hits — solveNS there is the
+	// original flight's, already observed once — and not warm resumes,
+	// whose cost the cold-fitted model cannot explain) back into the
+	// cost-model corrector. PredictedCostNS is the raw model output,
+	// which is what Observe requires.
+	if out.warmKind == "" {
+		switch cacheOutcome {
+		case obs.CacheMiss, obs.CacheOff, obs.CacheBypass:
+			s.corr.Observe(p.prof.Family, string(p.alg), ev.PredictedCostNS, out.solveNS)
+		}
+	}
 }
 
 // buildSolveResponse assembles the wire response for a successful
-// solve; it is shared by /solve and by the job runner (whose response
-// becomes the job's stored result).
-func (s *Server) buildSolveResponse(reqID string, p solveParams, res *activetime.Result, cached bool, warmKind string, elapsed time.Duration) (SolveResponse, error) {
+// solve; for a job it becomes the stored result.
+func (s *Server) buildSolveResponse(p *plan, res *activetime.Result, cached bool, warmKind string, elapsed time.Duration) (SolveResponse, error) {
 	out := SolveResponse{
-		RequestID:      reqID,
+		RequestID:      p.reqID,
 		Algorithm:      string(res.Algorithm),
 		Jobs:           p.in.N(),
 		ActiveSlots:    res.ActiveSlots,
@@ -981,7 +1036,9 @@ func (s *Server) buildSolveResponse(reqID string, p solveParams, res *activetime
 		}
 		out.Schedule = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 	}
-	if p.tr != nil {
+	// Jobs always trace (for their SSE stream); the response carries
+	// the trace only when the client asked for it.
+	if p.req.IncludeTrace {
 		out.Trace = &trace.ChromeTrace{TraceEvents: p.tr.ChromeEvents(), DisplayUnit: "ms"}
 	}
 	return out, nil

@@ -123,8 +123,28 @@ func TestSolveEndpoint(t *testing.T) {
 	}
 }
 
+// badBodies are requests both solve endpoints must reject, before
+// admission or queueing, with the same status on /solve and POST /jobs.
+var badBodies = []struct {
+	name, body string
+	status     int
+}{
+	{"bad json", `{`, http.StatusBadRequest},
+	{"missing instance", `{}`, http.StatusBadRequest},
+	{"unknown field", `{"instance":` + smallInstance + `,"nope":1}`, http.StatusBadRequest},
+	{"invalid instance", `{"instance":{"g":0,"jobs":[]}}`, http.StatusBadRequest},
+	// d−r and r+p overflow int64: invalid input, never handed to a
+	// solver (the wrapped window sizes flow networks and slot arrays).
+	{"window length overflows", `{"instance":{"g":1,"jobs":[{"p":1,"r":-5000000000000000000,"d":5000000000000000000}]}}`,
+		http.StatusBadRequest},
+	{"release plus processing overflows", `{"instance":{"g":1,"jobs":[{"p":100,"r":9223372036854775802,"d":9223372036854775807}]}}`,
+		http.StatusBadRequest},
+	{"unknown algorithm", `{"instance":` + smallInstance + `,"algorithm":"bogus"}`,
+		http.StatusUnprocessableEntity},
+}
+
 func TestSolveErrors(t *testing.T) {
-	s, ts, _ := testServer(t)
+	s, ts := jobsServer(t, Config{DefaultWorkers: 2})
 
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/solve")
@@ -136,27 +156,49 @@ func TestSolveErrors(t *testing.T) {
 		t.Fatalf("GET /solve status %d", resp.StatusCode)
 	}
 
-	cases := []struct {
+	checkBody := func(name string, data []byte) {
+		t.Helper()
+		var e ErrorResponse
+		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" || e.RequestID == "" {
+			t.Errorf("%s: error body malformed: %s", name, data)
+		}
+	}
+	for _, tc := range badBodies {
+		resp, data := postSolve(t, ts, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: /solve status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, data)
+		}
+		checkBody(tc.name, data)
+		resp, data = postJob(t, ts, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: POST /jobs status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, data)
+		}
+		checkBody(tc.name, data)
+	}
+	if got := s.Registry().JobsSubmitted("batch"); got != 0 {
+		t.Errorf("rejected bodies queued %d jobs", got)
+	}
+
+	// /solve only: infeasibility shows up at solve time (a job fails
+	// later), and "class" is a POST /jobs field.
+	for _, tc := range []struct {
 		name, body string
 		status     int
 	}{
-		{"bad json", `{`, http.StatusBadRequest},
-		{"missing instance", `{}`, http.StatusBadRequest},
-		{"invalid instance", `{"instance":{"g":0,"jobs":[]}}`, http.StatusBadRequest},
 		{"infeasible", `{"instance":{"g":1,"jobs":[{"p":3,"r":0,"d":3},{"p":3,"r":0,"d":3}]}}`,
 			http.StatusUnprocessableEntity},
-		{"unknown algorithm", `{"instance":` + smallInstance + `,"algorithm":"bogus"}`,
-			http.StatusUnprocessableEntity},
-	}
-	for _, tc := range cases {
+		{"class on /solve", `{"instance":` + smallInstance + `,"class":"batch"}`, http.StatusBadRequest},
+	} {
 		resp, data := postSolve(t, ts, tc.body)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, data)
 		}
-		var e ErrorResponse
-		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" || e.RequestID == "" {
-			t.Errorf("%s: error body malformed: %s", tc.name, data)
-		}
+		checkBody(tc.name, data)
+	}
+
+	// The server still answers after every rejection.
+	if resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid solve after rejections: %d %s", resp.StatusCode, data)
 	}
 	if s.reg.InFlight() != 0 {
 		t.Errorf("in-flight gauge leaked: %d", s.reg.InFlight())

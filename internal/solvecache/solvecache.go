@@ -50,25 +50,38 @@ func CanonicalOrder(in *instance.Instance) []int {
 	return order
 }
 
-// CanonicalDigest hashes the instance alone — capacity g plus the
-// jobs in CanonicalOrder with IDs dropped — so any permutation of the
-// same job multiset yields the same digest. It is the canonicalization
-// shared by the replica-side cache key (KeyFor builds on it) and the
-// cluster router's cache-affinity placement: both sides derive the
-// identical digest from a request body, which is what lands permuted
-// copies of one instance on the replica already holding the solution.
-func CanonicalDigest(in *instance.Instance) Key {
-	order := CanonicalOrder(in)
+// Canonical is an instance together with its CanonicalOrder, sorted
+// once: the exact digest, the structural digest and both cache keys
+// all derive from it, so a request that needs several of them pays for
+// one sort.
+type Canonical struct {
+	In    *instance.Instance
+	Order []int
+}
+
+// Canonicalize sorts in's jobs into canonical order.
+func Canonicalize(in *instance.Instance) Canonical {
+	return Canonical{In: in, Order: CanonicalOrder(in)}
+}
+
+// Digest hashes the instance alone — capacity g plus the jobs in
+// canonical order with IDs dropped — so any permutation of the same
+// job multiset yields the same digest. It is the canonicalization
+// shared by the replica-side cache key and the cluster router's
+// cache-affinity placement: both sides derive the identical digest
+// from a request body, which is what lands permuted copies of one
+// instance on the replica already holding the solution.
+func (c Canonical) Digest() Key {
 	h := sha256.New()
 	var buf [8]byte
 	wi := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
-	wi(in.G)
-	wi(int64(len(order)))
-	for _, idx := range order {
-		j := in.Jobs[idx]
+	wi(c.In.G)
+	wi(int64(len(c.Order)))
+	for _, idx := range c.Order {
+		j := c.In.Jobs[idx]
 		wi(j.Release)
 		wi(j.Deadline)
 		wi(j.Processing)
@@ -78,16 +91,6 @@ func CanonicalDigest(in *instance.Instance) Key {
 	return k
 }
 
-// KeyFor computes the cache key for solving in with the named
-// algorithm and option flags: the CanonicalDigest of the instance
-// re-hashed with everything else that changes the result. The flags
-// must be passed in a fixed order by the caller; flags that do not
-// change the solve's result (e.g. worker count) should be omitted.
-func KeyFor(in *instance.Instance, algorithm string, flags ...bool) Key {
-	d := CanonicalDigest(in)
-	return mixKey(d, algorithm, flags)
-}
-
 // StructuralDigest hashes only the window forest's *shape*: the
 // distinct root windows of the laminar forest, in time order — no g,
 // no job multiset. Raising g, or nesting extra jobs inside the
@@ -95,36 +98,30 @@ func KeyFor(in *instance.Instance, algorithm string, flags ...bool) Key {
 // exactly what makes it the near-miss index for warm starts: an exact
 // cache miss can look up entries with the same structural digest and
 // classify the delta against them.
-func StructuralDigest(in *instance.Instance) Key {
-	type win struct{ s, e int64 }
-	ws := make([]win, len(in.Jobs))
-	for i, j := range in.Jobs {
-		ws[i] = win{j.Release, j.Deadline}
-	}
-	sort.Slice(ws, func(a, b int) bool {
-		if ws[a].s != ws[b].s {
-			return ws[a].s < ws[b].s
-		}
-		return ws[a].e > ws[b].e
-	})
+func (c Canonical) StructuralDigest() Key {
 	h := sha256.New()
 	var buf [8]byte
 	wi := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
-	// Sweep for roots: after the (start asc, end desc) sort a window
-	// opens a new root iff it starts at or past everything seen so far.
+	// Canonical order sorts windows by start, then end, so the last
+	// window of each start group is its widest. That window is a root
+	// iff it starts at or past every earlier window's end.
 	var maxEnd int64
 	first := true
-	for _, w := range ws {
-		if first || w.s >= maxEnd {
-			wi(w.s)
-			wi(w.e)
+	for i, idx := range c.Order {
+		j := c.In.Jobs[idx]
+		if i+1 < len(c.Order) && c.In.Jobs[c.Order[i+1]].Release == j.Release {
+			continue
+		}
+		if first || j.Release >= maxEnd {
+			wi(j.Release)
+			wi(j.Deadline)
 			first = false
 		}
-		if w.e > maxEnd {
-			maxEnd = w.e
+		if j.Deadline > maxEnd {
+			maxEnd = j.Deadline
 		}
 	}
 	var k Key
@@ -132,12 +129,36 @@ func StructuralDigest(in *instance.Instance) Key {
 	return k
 }
 
-// StructKeyFor is the structural analogue of KeyFor: the structural
-// digest re-hashed with the algorithm and option flags, so near-miss
-// lookups only surface entries solved the same way.
+// Key is the cache key for solving the instance with the named
+// algorithm and option flags: the Digest re-hashed with everything
+// else that changes the result. The flags must be passed in a fixed
+// order by the caller; flags that do not change the solve's result
+// (e.g. worker count) should be omitted.
+func (c Canonical) Key(algorithm string, flags ...bool) Key {
+	return mixKey(c.Digest(), algorithm, flags)
+}
+
+// StructKey is the structural analogue of Key: the StructuralDigest
+// re-hashed with the algorithm and option flags, so near-miss lookups
+// only surface entries solved the same way.
+func (c Canonical) StructKey(algorithm string, flags ...bool) Key {
+	return mixKey(c.StructuralDigest(), algorithm, flags)
+}
+
+// CanonicalDigest is Canonicalize(in).Digest().
+func CanonicalDigest(in *instance.Instance) Key { return Canonicalize(in).Digest() }
+
+// KeyFor is Canonicalize(in).Key(algorithm, flags...).
+func KeyFor(in *instance.Instance, algorithm string, flags ...bool) Key {
+	return Canonicalize(in).Key(algorithm, flags...)
+}
+
+// StructuralDigest is Canonicalize(in).StructuralDigest().
+func StructuralDigest(in *instance.Instance) Key { return Canonicalize(in).StructuralDigest() }
+
+// StructKeyFor is Canonicalize(in).StructKey(algorithm, flags...).
 func StructKeyFor(in *instance.Instance, algorithm string, flags ...bool) Key {
-	d := StructuralDigest(in)
-	return mixKey(d, algorithm, flags)
+	return Canonicalize(in).StructKey(algorithm, flags...)
 }
 
 func mixKey(d Key, algorithm string, flags []bool) Key {

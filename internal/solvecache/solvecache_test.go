@@ -3,6 +3,7 @@ package solvecache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -457,5 +458,37 @@ func TestCanonicalDigest(t *testing.T) {
 	}
 	if KeyFor(in, "nested95", true) == KeyFor(in, "nested95", false) {
 		t.Fatal("flags must affect KeyFor")
+	}
+
+	// Pinned bytes: the cache keys and the router's affinity placement
+	// must not drift. The instance has two start groups and a root that
+	// touches the previous one, the cases the structural sweep handles.
+	pin := instance.MustNew(2, []instance.Job{
+		{Processing: 2, Release: 0, Deadline: 6},
+		{Processing: 1, Release: 1, Deadline: 3},
+		{Processing: 3, Release: 0, Deadline: 4},
+		{Processing: 1, Release: 6, Deadline: 9},
+		{Processing: 2, Release: 6, Deadline: 8},
+		{Processing: 1, Release: 12, Deadline: 13},
+	})
+	for _, c := range []struct {
+		name string
+		got  Key
+		want string
+	}{
+		{"CanonicalDigest", CanonicalDigest(pin),
+			"4fc37c9d74a21284baba479d98801ab9d6fc6b65c294e11ea52a7dd3d7d59dbe"},
+		{"KeyFor", KeyFor(pin, "nested95", false, false, false),
+			"3ee385d0f4a7d0024ee3f1ec2a13b5a3a8b97dc4e52af2da8a41b28231b7cc3b"},
+		{"StructKeyFor", StructKeyFor(pin, "nested95", false, false, false),
+			"9a8b0096567ae4eb70c9cb01e3bbebc62a2f8591cd3ef20de4f0c35d132cdccb"},
+		{"CanonicalDigest(empty)", CanonicalDigest(instance.MustNew(1, nil)),
+			"4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0"},
+		{"StructKeyFor(empty)", StructKeyFor(instance.MustNew(1, nil), "comb"),
+			"a2e4239c7136b2155564dedbd3d58533d4ffc2f64adbc807029a1891069247fc"},
+	} {
+		if got := fmt.Sprintf("%x", c.got); got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -2,6 +2,10 @@ package solvecache
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -19,6 +23,58 @@ func (c *carrier) StripWarm()       { c.stripped.Store(true) }
 
 func key(b byte) Key  { var k Key; k[0] = b; return k }
 func skey(b byte) Key { var k Key; k[31] = b; return k }
+
+// windowSortDigest is the structural digest computed the direct way:
+// windows sorted by (start asc, end desc), where a window opens a new
+// root iff it starts at or past everything seen so far.
+func windowSortDigest(in *instance.Instance) Key {
+	type win struct{ s, e int64 }
+	ws := make([]win, len(in.Jobs))
+	for i, j := range in.Jobs {
+		ws[i] = win{j.Release, j.Deadline}
+	}
+	sort.Slice(ws, func(a, b int) bool {
+		if ws[a].s != ws[b].s {
+			return ws[a].s < ws[b].s
+		}
+		return ws[a].e > ws[b].e
+	})
+	h := sha256.New()
+	var buf [8]byte
+	var maxEnd int64
+	for i, w := range ws {
+		if i == 0 || w.s >= maxEnd {
+			for _, v := range []int64{w.s, w.e} {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				h.Write(buf[:])
+			}
+		}
+		maxEnd = max(maxEnd, w.e)
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
+// TestStructuralDigestMatchesWindowSort: deriving the structural
+// digest from the canonical job order (sorted by start, then end
+// ascending) yields the same bytes as the direct window sort, on
+// general and nested windows with shared starts, duplicates, touching
+// roots and negative times.
+func TestStructuralDigestMatchesWindowSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 500; trial++ {
+		jobs := make([]instance.Job, rng.Intn(12))
+		for i := range jobs {
+			r := int64(rng.Intn(12) - 4)
+			jobs[i] = instance.Job{Processing: 1, Release: r, Deadline: r + 1 + int64(rng.Intn(6))}
+		}
+		in := instance.MustNew(1, jobs)
+		if got, want := StructuralDigest(in), windowSortDigest(in); got != want {
+			t.Fatalf("trial %d: %+v: digest %x, window sort %x", trial, jobs, got, want)
+		}
+	}
+}
 
 func TestStructuralDigestInvariants(t *testing.T) {
 	base := instance.MustNew(2, []instance.Job{

@@ -261,8 +261,8 @@ func TestCostModelInstanceMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single := m.PredictInstance(costmodel.FamilyLaminar, in)
-		double := m.PredictInstance(costmodel.FamilyLaminar, union)
+		single := m.PredictNS(costmodel.FamilyLaminar, in.N(), costmodel.Depth(in))
+		double := m.PredictNS(costmodel.FamilyLaminar, union.N(), costmodel.Depth(union))
 		if double < single {
 			t.Fatalf("trial %d: duplication lowered prediction %d -> %d", trial, single, double)
 		}
