@@ -77,13 +77,12 @@ obs-smoke:
 	rm -f /tmp/atload-obs-smoke.jsonl /tmp/atload-obs-smoke.json
 
 # The end-to-end benchmark of record (bench/e2e, its own Go module;
-# see bench/README.md): every workload RUNS times untraced plus once
+# see bench/README.md): every workload 10 times untraced plus once
 # traced, written to OUT. Compare two such directories with
 #   cd bench && go run ./e2e -compare -bench-json ../BENCHMARK.json A B
-RUNS ?= 10
 OUT ?= ../.bench_build/runs/local
 bench-e2e:
-	cd bench && $(GO) run ./e2e -runs $(RUNS) -out $(OUT)
+	cd bench && $(GO) run ./e2e -runs 10 -out $(OUT)
 
 # The harness's own checks, which root `go test ./...` never reaches:
 # vet, plan determinism, pinned fingerprints, the compare rules, and a

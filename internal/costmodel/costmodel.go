@@ -184,18 +184,17 @@ func (m *Model) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// fallbackChain lists the rows a (family, algorithm) pair resolves
-// through, most specific first: exact match, the default family with
-// the same algorithm, the family's algorithm-agnostic row, and finally
-// the default family's agnostic row.
-func fallbackChain(family, algorithm string) [4]modelKey {
-	return [...]modelKey{{family, algorithm}, {FamilyDefault, algorithm}, {family, ""}, {FamilyDefault, ""}}
-}
-
-// coeff resolves a (family, algorithm) pair through the fallback chain;
-// Parse guarantees the last link.
+// coeff resolves a (family, algorithm) pair through the fallback
+// chain: exact match, the default family with the same algorithm, the
+// family's algorithm-agnostic row, and finally the default family's
+// agnostic row (whose presence Parse guarantees).
 func (m *Model) coeff(family, algorithm string) Coefficients {
-	for _, k := range fallbackChain(family, algorithm) {
+	for _, k := range [...]modelKey{
+		{family, algorithm},
+		{FamilyDefault, algorithm},
+		{family, ""},
+		{FamilyDefault, ""},
+	} {
 		if c, ok := m.byKey[k]; ok {
 			return c
 		}
@@ -282,11 +281,15 @@ func FamilyFor(in *instance.Instance) string {
 // peak window overlap, which plays the same role as a difficulty
 // feature. Computed by an O(n log n) endpoint sweep.
 func Depth(in *instance.Instance) int {
+	n := in.N()
+	if n == 0 {
+		return 1
+	}
 	type event struct {
 		t     int64
 		delta int
 	}
-	events := make([]event, 0, 2*in.N())
+	events := make([]event, 0, 2*n)
 	for _, j := range in.Jobs {
 		events = append(events, event{j.Release, +1}, event{j.Deadline, -1})
 	}

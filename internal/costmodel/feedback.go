@@ -100,7 +100,12 @@ func (c *Corrector) Apply(family, algorithm string, predictedNS int64) int64 {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, k := range fallbackChain(family, algorithm) {
+	for _, k := range [...]modelKey{
+		{family, algorithm},
+		{FamilyDefault, algorithm},
+		{family, ""},
+		{FamilyDefault, ""},
+	} {
 		if cor, ok := c.m[k]; ok {
 			ns := float64(predictedNS) * cor.factor
 			if ns < 1 {

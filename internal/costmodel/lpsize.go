@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/instance"
@@ -42,6 +41,9 @@ type LPEstimate struct {
 // for nested instances; for general windows it is the same dominance
 // count and still usable as a difficulty signal.
 func EstimateLP(in *instance.Instance) LPEstimate {
+	if in.N() == 0 {
+		return LPEstimate{}
+	}
 	comps, _ := in.Components()
 	var best LPEstimate
 	for _, comp := range comps {
@@ -73,8 +75,8 @@ func estimateComponent(in *instance.Instance) LPEstimate {
 	for i, w := range wins {
 		dls[i] = w.d
 	}
-	slices.Sort(dls)
-	dls = slices.Compact(dls)
+	sort.Slice(dls, func(a, b int) bool { return dls[a] < dls[b] })
+	dls = dedupeInt64(dls)
 	rank := func(d int64) int { // 1-based index of the largest dls ≤ d
 		return sort.Search(len(dls), func(i int) bool { return dls[i] > d })
 	}
@@ -134,4 +136,14 @@ func satMulBytes(r, c int64) int64 {
 		return math.MaxInt64
 	}
 	return int64(f)
+}
+
+func dedupeInt64(s []int64) []int64 {
+	out := s[:0]
+	for i, v := range s {
+		if i == 0 || v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -78,12 +78,13 @@ func MustNew(g int64, jobs []Job) *Instance {
 var ErrInvalid = errors.New("instance: invalid")
 
 // Validate checks structural validity: g >= 1, every job has
-// p_j >= 1 and a window that can hold it, neither r_j+p_j nor d_j−r_j
-// overflows int64, and IDs are dense.
+// p_j >= 1 and a window that can hold it, IDs are dense, and neither
+// any r_j+p_j nor the horizon max d_j − min r_j overflows int64.
 func (in *Instance) Validate() error {
 	if in.G < 1 {
 		return fmt.Errorf("%w: g=%d < 1", ErrInvalid, in.G)
 	}
+	var minR, maxD int64
 	for i, j := range in.Jobs {
 		if j.ID != i {
 			return fmt.Errorf("%w: job at index %d has ID %d", ErrInvalid, i, j.ID)
@@ -91,17 +92,27 @@ func (in *Instance) Validate() error {
 		if j.Processing < 1 {
 			return fmt.Errorf("%w: job %d has processing %d < 1", ErrInvalid, i, j.Processing)
 		}
-		// r+p and d−r must fit in int64: a wrapped sum passes the window
-		// check below, and downstream code sizes slices from d−r.
-		if j.Release > math.MaxInt64-j.Processing ||
-			(j.Release < 0 && j.Deadline > math.MaxInt64+j.Release) {
-			return fmt.Errorf("%w: job %d window [%d,%d) with p=%d overflows int64",
-				ErrInvalid, i, j.Release, j.Deadline, j.Processing)
+		// A wrapped r+p would pass the window check below.
+		if j.Release > math.MaxInt64-j.Processing {
+			return fmt.Errorf("%w: job %d has r+p = %d+%d overflowing int64",
+				ErrInvalid, i, j.Release, j.Processing)
 		}
 		if j.Deadline < j.Release+j.Processing {
 			return fmt.Errorf("%w: job %d window [%d,%d) shorter than p=%d",
 				ErrInvalid, i, j.Release, j.Deadline, j.Processing)
 		}
+		if i == 0 || j.Release < minR {
+			minR = j.Release
+		}
+		if i == 0 || j.Deadline > maxD {
+			maxD = j.Deadline
+		}
+	}
+	// Solvers size slots and flow networks from window lengths and sums
+	// of disjoint window lengths; the horizon bounds them all, so it
+	// must fit in int64.
+	if minR < 0 && maxD > math.MaxInt64+minR {
+		return fmt.Errorf("%w: horizon [%d,%d) overflows int64", ErrInvalid, minR, maxD)
 	}
 	return nil
 }

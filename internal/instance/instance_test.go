@@ -33,6 +33,11 @@ func TestValidate(t *testing.T) {
 		// d−r and r+p must fit in int64.
 		{"window length overflows", 1, []Job{{Processing: 1, Release: -5e18, Deadline: 5e18}}, false},
 		{"r+p overflows", 1, []Job{{Processing: 100, Release: math.MaxInt64 - 5, Deadline: math.MaxInt64}}, false},
+		// Each window fits, but their lengths sum past int64.
+		{"horizon overflows", 1, []Job{{Processing: 1, Release: -9e18, Deadline: -4e18},
+			{ID: 1, Processing: 1, Release: 0, Deadline: 5e18}}, false},
+		{"widest horizon that fits", 1, []Job{{Processing: 1, Release: -1, Deadline: 0},
+			{ID: 1, Processing: 1, Release: math.MaxInt64 - 2, Deadline: math.MaxInt64 - 1}}, true},
 		{"widest window that fits", 1, []Job{{Processing: 1, Release: -4e18, Deadline: 4e18}}, true},
 		{"latest window that fits", 1, []Job{{Processing: 5, Release: math.MaxInt64 - 5, Deadline: math.MaxInt64}}, true},
 	}

@@ -137,6 +137,9 @@ var badBodies = []struct {
 	// solver (the wrapped window sizes flow networks and slot arrays).
 	{"window length overflows", `{"instance":{"g":1,"jobs":[{"p":1,"r":-5000000000000000000,"d":5000000000000000000}]}}`,
 		http.StatusBadRequest},
+	// Each window fits, but the root-window lengths sum past int64.
+	{"horizon overflows", `{"instance":{"g":1,"jobs":[{"p":1,"r":-9000000000000000000,"d":-4000000000000000000},{"p":1,"r":0,"d":5000000000000000000}]},"algorithm":"comb"}`,
+		http.StatusBadRequest},
 	{"release plus processing overflows", `{"instance":{"g":1,"jobs":[{"p":100,"r":9223372036854775802,"d":9223372036854775807}]}}`,
 		http.StatusBadRequest},
 	{"unknown algorithm", `{"instance":` + smallInstance + `,"algorithm":"bogus"}`,

@@ -153,9 +153,6 @@ func KeyFor(in *instance.Instance, algorithm string, flags ...bool) Key {
 	return Canonicalize(in).Key(algorithm, flags...)
 }
 
-// StructuralDigest is Canonicalize(in).StructuralDigest().
-func StructuralDigest(in *instance.Instance) Key { return Canonicalize(in).StructuralDigest() }
-
 // StructKeyFor is Canonicalize(in).StructKey(algorithm, flags...).
 func StructKeyFor(in *instance.Instance, algorithm string, flags ...bool) Key {
 	return Canonicalize(in).StructKey(algorithm, flags...)

@@ -70,7 +70,7 @@ func TestStructuralDigestMatchesWindowSort(t *testing.T) {
 			jobs[i] = instance.Job{Processing: 1, Release: r, Deadline: r + 1 + int64(rng.Intn(6))}
 		}
 		in := instance.MustNew(1, jobs)
-		if got, want := StructuralDigest(in), windowSortDigest(in); got != want {
+		if got, want := Canonicalize(in).StructuralDigest(), windowSortDigest(in); got != want {
 			t.Fatalf("trial %d: %+v: digest %x, window sort %x", trial, jobs, got, want)
 		}
 	}
@@ -82,32 +82,32 @@ func TestStructuralDigestInvariants(t *testing.T) {
 		{Processing: 1, Release: 1, Deadline: 3},
 		{Processing: 1, Release: 8, Deadline: 10},
 	})
-	d := StructuralDigest(base)
+	d := Canonicalize(base).StructuralDigest()
 
 	// Raised g: same structure.
 	raised := base.Clone()
 	raised.G = 5
-	if StructuralDigest(raised) != d {
+	if Canonicalize(raised).StructuralDigest() != d {
 		t.Error("raised g changed the structural digest")
 	}
 
 	// Extra job nested inside an existing root window: same structure.
 	grown := instance.MustNew(2, append(append([]instance.Job(nil), base.Jobs...),
 		instance.Job{Processing: 1, Release: 2, Deadline: 5}))
-	if StructuralDigest(grown) != d {
+	if Canonicalize(grown).StructuralDigest() != d {
 		t.Error("nested growth changed the structural digest")
 	}
 
 	// Job order: same structure.
 	perm := instance.MustNew(2, []instance.Job{base.Jobs[2], base.Jobs[0], base.Jobs[1]})
-	if StructuralDigest(perm) != d {
+	if Canonicalize(perm).StructuralDigest() != d {
 		t.Error("permutation changed the structural digest")
 	}
 
 	// A genuinely new root window: different structure.
 	outside := instance.MustNew(2, append(append([]instance.Job(nil), base.Jobs...),
 		instance.Job{Processing: 1, Release: 20, Deadline: 22}))
-	if StructuralDigest(outside) == d {
+	if Canonicalize(outside).StructuralDigest() == d {
 		t.Error("new root window kept the structural digest")
 	}
 
