@@ -26,6 +26,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSimplexVsRatsimplex -fuzztime=$(FUZZTIME) ./internal/ratsimplex
 	$(GO) test -run='^$$' -fuzz=FuzzDifferentialNested -fuzztime=$(FUZZTIME) ./internal/comb
 	$(GO) test -run='^$$' -fuzz=FuzzWarmVsCold -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzCertificateFirst -fuzztime=$(FUZZTIME) .
 
 # Service smoke: build the real activetimed binary, boot it on a
 # random port, hit /healthz and /metrics over HTTP, validate the

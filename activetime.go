@@ -99,9 +99,12 @@ const (
 	// the fourth power of the nesting depth.
 	AlgCombinatorial Algorithm = "comb"
 	// AlgAuto routes per instance shape: non-nested windows go to
-	// AlgGreedyMinimal, small shallow nested instances to AlgNested95
-	// (for its LP certificate), and deep or huge nested instances to
-	// AlgCombinatorial. See Route for the exact policy.
+	// AlgGreedyMinimal; nested instances the LP can afford go
+	// certificate-first (AlgCombinatorial, with AlgNested95 re-solving
+	// only the components comb's schedule does not provably solve
+	// optimally; see SolveCertificateFirstCtx); deep or huge nested
+	// instances go to AlgCombinatorial alone. See Route for the exact
+	// policy.
 	AlgAuto Algorithm = "auto"
 	// AlgGreedyMinimal deactivates slots left to right while feasible;
 	// any minimal feasible solution is a 3-approximation.
@@ -134,8 +137,14 @@ type Result struct {
 	// CertifiedRatio is ActiveSlots / LPLowerBound when the LP bound
 	// is available; an instance-specific a-posteriori guarantee.
 	CertifiedRatio float64
+	// LowerBound is the laminar-tree lower bound on OPT, summed over
+	// forest components; only set by the certificate-first AlgAuto
+	// solve. ActiveSlots − LowerBound is the optimality gap, and a zero
+	// gap certifies the schedule optimal.
+	LowerBound int64
 	// Stats holds the solve's instrumentation snapshot; only set by
-	// AlgNested95 and AlgCombinatorial.
+	// AlgNested95, AlgCombinatorial and the certificate-first AlgAuto
+	// solve.
 	Stats *SolveStats
 	// Route explains an AlgAuto dispatch (which solver ran and why);
 	// nil when an algorithm was requested explicitly.
@@ -184,7 +193,13 @@ func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer
 	switch alg {
 	case AlgAuto:
 		dec := Route(in, nil, DefaultRouteLimits())
-		res, err := SolveTracedCtx(ctx, in, dec.Algorithm, tr)
+		var res *Result
+		var err error
+		if dec.Algorithm == AlgAuto {
+			res, err = SolveCertificateFirstCtx(ctx, in, SolveOptions{Trace: tr})
+		} else {
+			res, err = SolveTracedCtx(ctx, in, dec.Algorithm, tr)
+		}
 		if res != nil {
 			res.Route = &dec
 		}

@@ -3,9 +3,11 @@ package activetime
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/comb"
 	"repro/internal/costmodel"
+	"repro/internal/metrics"
 )
 
 // RouteLimits bounds what AlgAuto is willing to hand the LP pipeline.
@@ -65,13 +67,20 @@ const (
 	RouteReasonDepthOverLPCap      = "depth_over_lp_cap"
 	RouteReasonLPTableauOverMemCap = "lp_tableau_over_mem_cap"
 	RouteReasonLPPredictedSlow     = "lp_predicted_slow"
-	RouteReasonSmallNestedLP       = "small_nested_lp"
+	RouteReasonCertificateFirst    = "certificate_first"
+	// RouteReasonSmallNestedLP is not returned by RouteProfile: the
+	// server uses it for an auto request that would have gone
+	// certificate-first but sets an option only the LP pipeline
+	// honors (exact LP, minimalize, compact), so it runs nested95.
+	RouteReasonSmallNestedLP = "small_nested_lp"
 )
 
 // RouteDecision is the outcome of Route: the concrete algorithm
 // chosen for an AlgAuto solve and the evidence behind the choice.
 type RouteDecision struct {
-	// Algorithm is the concrete solver chosen.
+	// Algorithm is the concrete solver chosen, or AlgAuto for the
+	// certificate-first solve (SolveCertificateFirstCtx), whose result
+	// names the solver that produced its schedule.
 	Algorithm Algorithm
 	// Reason is one of the RouteReason constants.
 	Reason string
@@ -95,12 +104,13 @@ func Route(in *Instance, m *costmodel.Model, lim RouteLimits) RouteDecision {
 // RouteProfile decides which solver an AlgAuto request should run,
 // from the instance profile and the cost model: non-nested windows go
 // to the greedy 3-approximation (the only general-windows algorithm
-// with a guarantee), nested instances go to the 9/5 LP pipeline while
-// it is affordable under the limits, and everything else — deep
-// chains, huge forests — goes to the combinatorial solver. A nil model
-// uses the embedded default; zero-valued limits use DefaultRouteLimits.
-// It reads the profile's LP estimate only for nested instances within
-// the job and depth caps.
+// with a guarantee), nested instances go certificate-first (comb, then
+// the 9/5 LP pipeline on the components comb does not certify) while
+// the LP is affordable under the limits, and everything else — deep
+// chains, huge forests — goes to the combinatorial solver alone. A nil
+// model uses the embedded default; zero-valued limits use
+// DefaultRouteLimits. It reads the profile's LP estimate only for
+// nested instances within the job and depth caps.
 func RouteProfile(p *costmodel.Profile, m *costmodel.Model, lim RouteLimits) RouteDecision {
 	if m == nil {
 		m = costmodel.Default()
@@ -129,7 +139,84 @@ func RouteProfile(p *costmodel.Profile, m *costmodel.Model, lim RouteLimits) Rou
 	if m.PredictAlgNS(p.Family, string(AlgNested95), p.Jobs, p.Depth) > lim.MaxLPPredictedNS {
 		return finish(AlgCombinatorial, RouteReasonLPPredictedSlow)
 	}
-	return finish(AlgNested95, RouteReasonSmallNestedLP)
+	return finish(AlgAuto, RouteReasonCertificateFirst)
+}
+
+// SolveCertificateFirstCtx is AlgAuto's solve for nested instances the
+// LP pipeline can afford. It runs the combinatorial solver once over
+// the whole instance and checks each forest component against the
+// laminar-tree lower bound. Where comb meets the bound its schedule is
+// optimal and the LP could only tie it. Every other component is
+// solved again by the 9/5 pipeline on its own, and the better of the
+// two schedules is kept. Result.LowerBound is the summed bound, and
+// Result.Algorithm names AlgNested95 when the LP replaced at least one
+// component, AlgCombinatorial otherwise. Options other than Workers,
+// Metrics and Trace are ignored.
+func SolveCertificateFirstCtx(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
+	rec := opts.Metrics
+	if rec == nil {
+		rec = new(metrics.Recorder)
+	}
+	s, rep, err := comb.SolveContext(ctx, in, comb.Options{Metrics: rec, Trace: opts.Trace})
+	if err != nil {
+		return nil, fmt.Errorf("activetime: %w", err)
+	}
+	res := &Result{Algorithm: AlgCombinatorial, Schedule: s, ActiveSlots: rep.ActiveSlots}
+	type lpWin struct {
+		root int
+		s    *Schedule
+	}
+	var comps []*Instance
+	var backmap [][]int
+	var kept []lpWin // components whose LP schedule beat comb's, in time order
+	for i, r := range rep.Roots {
+		res.LowerBound += r.Bound
+		if r.Active == r.Bound {
+			continue
+		}
+		if comps == nil {
+			comps, backmap = in.Components()
+			if len(comps) != len(rep.Roots) {
+				return nil, fmt.Errorf("activetime: internal: %d components but %d forest roots",
+					len(comps), len(rep.Roots))
+			}
+		}
+		lp, err := SolveNested95Ctx(ctx, comps[i], SolveOptions{Workers: opts.Workers, Metrics: rec, Trace: opts.Trace})
+		if err != nil {
+			return nil, err
+		}
+		if lp.ActiveSlots < r.Active {
+			kept = append(kept, lpWin{i, lp.Schedule})
+		}
+	}
+	if len(kept) > 0 {
+		// Drop comb's slots under the replaced roots (disjoint windows in
+		// time order), then splice in the LP schedules through the
+		// component backmap.
+		for t := range s.Slots {
+			k := sort.Search(len(kept), func(k int) bool { return rep.Roots[kept[k].root].Window.End > t })
+			if k < len(kept) && rep.Roots[kept[k].root].Window.Contains(t) {
+				delete(s.Slots, t)
+			}
+		}
+		for _, w := range kept {
+			for t, js := range w.s.Slots {
+				for _, localID := range js {
+					s.Assign(t, backmap[w.root][localID])
+				}
+			}
+		}
+		stop := rec.StartStage(metrics.StageValidate)
+		err := s.Validate(in)
+		stop()
+		if err != nil {
+			return nil, fmt.Errorf("activetime: internal: certificate-first schedule invalid: %w", err)
+		}
+		res.Algorithm = AlgNested95
+		res.ActiveSlots = s.NumActive()
+	}
+	res.Stats = rec.Snapshot()
+	return res, nil
 }
 
 // SolveCombinatorial runs the lazy-activation solver with explicit

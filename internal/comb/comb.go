@@ -15,12 +15,12 @@
 // inactive slots (a union-find walk) for any deficit. A final lazy
 // deactivation sweep tries to drain lightly-loaded slots into the
 // residual capacity of other active slots and close them. The
-// schedule is validated by sched.Validate before it is returned; if
-// the greedy ever comes up short (never observed on feasible input —
-// the differential fuzz target pins cost equality with internal/exact)
-// it falls back to a flowfeas max-flow schedule over all candidate
-// slots, trimmed by the same deactivation sweep, and counts the event
-// in the comb_fallbacks metric.
+// schedule is validated by sched.Validate before it is returned. When
+// the greedy comes up short on some job (rare, but it happens on
+// feasible input with non-unit jobs), the job's root window falls back to a flowfeas max-flow schedule of that
+// root's jobs over all of its candidate slots, trimmed by the same
+// deactivation sweep; the other roots keep their greedy placement. The
+// event is counted in the comb_fallbacks metric.
 package comb
 
 import (
@@ -78,6 +78,24 @@ type Report struct {
 	// Warm is the retained placement snapshot when Options.CaptureWarm
 	// was set.
 	Warm *WarmState
+	// Roots holds one entry per root window of the laminar forest, in
+	// time order, which is also the order of the instance's
+	// Components: the window's tree lower bound and the active slots
+	// the schedule opens inside it. Where the two are equal, the
+	// schedule is provably optimal on that component.
+	Roots []RootEvidence
+}
+
+// RootEvidence is the optimality evidence for one forest component.
+type RootEvidence struct {
+	// Window is the root's job window; every slot of the component
+	// lies inside it.
+	Window interval.Interval
+	// Bound is lamtree's lower bound for the root: no feasible
+	// schedule opens fewer slots inside Window.
+	Bound int64
+	// Active counts the schedule's active slots inside Window.
+	Active int64
 }
 
 // Solve runs the combinatorial solver with default options.
@@ -124,6 +142,7 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 	if err != nil {
 		return nil, nil, err
 	}
+	bounds := t.LowerBounds()
 	for _, nd := range t.Nodes {
 		if nd.Depth+1 > rep.Depth {
 			rep.Depth = nd.Depth + 1
@@ -149,18 +168,17 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 	if short {
 		// The greedy could not place some job. Distinguish a genuinely
 		// infeasible instance from a greedy failure: run the exact
-		// max-flow feasibility schedule over every candidate slot and,
-		// if one exists, adopt it (the deactivation sweep below trims
-		// the all-open solution back down).
+		// max-flow feasibility schedule over the short roots' candidate
+		// slots and, if one exists, adopt it (the deactivation sweep
+		// below trims the all-open solution back down).
 		rec.CombFallbacks.Inc()
 		rep.Fallback = true
 		fsp := sp.StartChild("comb_fallback")
-		s, ferr := flowfeas.ScheduleOnSlots(in, in.SortedSlots())
+		ferr := st.fallback()
 		fsp.End()
 		if ferr != nil {
 			return nil, nil, fmt.Errorf("comb: %w", ferr)
 		}
-		st.loadSchedule(s)
 		rep.Activated = st.activated
 	}
 
@@ -188,6 +206,10 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 	rec.CombReused.Add(st.reused)
 	rec.CombDeactivations.Add(st.deactivated)
 	rep.ActiveSlots = out.NumActive()
+	rep.Roots = make([]RootEvidence, len(t.Roots))
+	for i, id := range t.Roots {
+		rep.Roots[i] = RootEvidence{Window: st.roots[i], Bound: bounds[id], Active: st.activeIn(i)}
+	}
 	if opts.CaptureWarm {
 		rep.Warm = st.captureWarm()
 	}
@@ -213,6 +235,7 @@ type state struct {
 
 	inact *leftDSU // latest still-inactive slot ≤ t
 	avail *predSet // active slots with load < g
+	short []bool   // per root, some job came up short (nil until one does)
 
 	activated, reused, deactivated int64
 }
@@ -238,18 +261,39 @@ func newState(in *instance.Instance, t *lamtree.Tree) (*state, error) {
 	st.jobHi = make([]int32, in.N())
 	st.jobSlots = make([][]int32, in.N())
 	for i, j := range in.Jobs {
-		r := sort.Search(len(st.roots), func(k int) bool { return st.roots[k].End > j.Release })
-		lo := st.off[r] + (j.Release - st.roots[r].Start)
+		lo := st.indexOf(j.Release)
 		st.jobLo[i] = int32(lo)
-		st.jobHi[i] = int32(lo + (j.Deadline - j.Release))
+		st.jobHi[i] = int32(int64(lo) + (j.Deadline - j.Release))
 	}
 	return st, nil
 }
 
+// activeIn counts the active slots under the i-th root window.
+func (st *state) activeIn(i int) int64 {
+	var n int64
+	for _, l := range st.load[st.off[i]:st.off[i+1]] {
+		if l > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// rootOf returns the index of the root window holding slot index idx.
+func (st *state) rootOf(idx int) int {
+	return sort.Search(len(st.off)-1, func(k int) bool { return st.off[k+1] > int64(idx) })
+}
+
 // timeOf maps a slot index back to its time coordinate.
 func (st *state) timeOf(idx int) int64 {
-	r := sort.Search(len(st.off)-1, func(k int) bool { return st.off[k+1] > int64(idx) })
+	r := st.rootOf(idx)
 	return st.roots[r].Start + (int64(idx) - st.off[r])
+}
+
+// indexOf maps a time under some root window to its slot index.
+func (st *state) indexOf(tm int64) int {
+	r := sort.Search(len(st.roots), func(k int) bool { return st.roots[k].End > tm })
+	return int(st.off[r] + (tm - st.roots[r].Start))
 }
 
 // innermostOrder sorts the given job indices innermost-first: by
@@ -275,7 +319,7 @@ func innermostOrder(in *instance.Instance, order []int) {
 
 // place runs the lazy-activation pass over all jobs innermost-first.
 // It returns short=true when some job could not gather enough distinct
-// slots (deferred to the fallback path).
+// slots; st.short then marks the roots left to the fallback path.
 func (st *state) place(ctx context.Context) (short bool, err error) {
 	order := make([]int, st.in.N())
 	for i := range order {
@@ -286,7 +330,9 @@ func (st *state) place(ctx context.Context) (short bool, err error) {
 }
 
 // placeOrder runs the lazy-activation pass over the given jobs in the
-// given order. The warm-start resume path reuses it to place only the
+// given order. A job that comes up short marks its root in st.short,
+// and the rest of that root's jobs are skipped; other roots are placed
+// as usual. The warm-start resume path reuses it to place only the
 // delta's new jobs on top of a restored placement.
 func (st *state) placeOrder(ctx context.Context, order []int) (short bool, err error) {
 	in := st.in
@@ -299,6 +345,9 @@ func (st *state) placeOrder(ctx context.Context, order []int) (short bool, err e
 		}
 		j := in.Jobs[ji]
 		lo, hi := int(st.jobLo[ji]), int(st.jobHi[ji])
+		if short && st.short[st.rootOf(lo)] {
+			continue
+		}
 		need := int(j.Processing)
 		chosen = chosen[:0]
 		// Reuse active non-full slots, latest first. The walk is
@@ -318,7 +367,12 @@ func (st *state) placeOrder(ctx context.Context, order []int) (short bool, err e
 			s = st.inact.find(s - 1)
 		}
 		if need > 0 {
-			return true, nil
+			if st.short == nil {
+				st.short = make([]bool, len(st.roots))
+			}
+			st.short[st.rootOf(lo)] = true
+			short = true
+			continue
 		}
 		slots := make([]int32, len(chosen))
 		copy(slots, chosen)
@@ -332,44 +386,64 @@ func (st *state) placeOrder(ctx context.Context, order []int) (short bool, err e
 			}
 		}
 	}
-	return false, nil
+	return short, nil
 }
 
-// loadSchedule replaces the placement state with an externally
-// computed schedule (the max-flow fallback), so the deactivation sweep
-// and extraction below run unchanged.
-func (st *state) loadSchedule(s *sched.Schedule) {
-	n := len(st.load)
-	st.load = make([]int64, n)
-	st.slotJobs = make([][]int32, n)
-	st.jobSlots = make([][]int32, st.in.N())
-	st.inact = newLeftDSU(n)
-	st.avail = newPredSet(n)
-	st.activated, st.reused = 0, 0
-	times := make([]int64, 0, len(s.Slots))
-	for t := range s.Slots {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	for _, tm := range times {
-		jobs := append([]int(nil), s.Slots[tm]...)
-		if len(jobs) == 0 {
-			continue
+// fallback replaces the placement under every short root with a
+// max-flow schedule of that root's jobs over all of its candidate slots
+// and leaves the other roots' greedy placement as it is. It fails when
+// the short roots' jobs admit no schedule at all: the instance is
+// infeasible. Activated then counts every slot open before the
+// deactivation sweep.
+func (st *state) fallback() error {
+	var jobs []instance.Job
+	var back []int32
+	for i, j := range st.in.Jobs {
+		if st.short[st.rootOf(int(st.jobLo[i]))] {
+			j.ID = len(jobs)
+			jobs = append(jobs, j)
+			back = append(back, int32(i))
+			st.jobSlots[i] = nil
 		}
-		sort.Ints(jobs)
-		r := sort.Search(len(st.roots), func(k int) bool { return st.roots[k].End > tm })
-		si := int(st.off[r] + (tm - st.roots[r].Start))
-		st.inact.remove(si)
-		st.activated++
-		for _, ji := range jobs {
+	}
+	for r, short := range st.short {
+		if short {
+			clear(st.load[st.off[r]:st.off[r+1]])
+			clear(st.slotJobs[st.off[r]:st.off[r+1]])
+		}
+	}
+	sub := &instance.Instance{G: st.in.G, Jobs: jobs}
+	s, err := flowfeas.ScheduleOnSlots(sub, sub.SortedSlots())
+	if err != nil {
+		return err
+	}
+	for _, tm := range s.ActiveSlots() {
+		ids := append([]int(nil), s.Slots[tm]...)
+		sort.Ints(ids)
+		si := st.indexOf(tm)
+		for _, local := range ids {
+			ji := back[local]
 			st.load[si]++
-			st.slotJobs[si] = append(st.slotJobs[si], int32(ji))
+			st.slotJobs[si] = append(st.slotJobs[si], ji)
 			st.jobSlots[ji] = append(st.jobSlots[ji], int32(si))
 		}
-		if st.load[si] < st.in.G {
+	}
+	// Rebuild the activation structures from the merged loads.
+	n := len(st.load)
+	st.inact = newLeftDSU(n)
+	st.avail = newPredSet(n)
+	st.activated = 0
+	for si, l := range st.load {
+		if l == 0 {
+			continue
+		}
+		st.inact.remove(si)
+		st.activated++
+		if l < st.in.G {
 			st.avail.set(si)
 		}
 	}
+	return nil
 }
 
 // maxProbes bounds the predecessor-walk length when hunting a

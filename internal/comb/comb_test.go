@@ -128,6 +128,87 @@ func TestForestMatchesExact(t *testing.T) {
 	}
 }
 
+// TestRootEvidence: the per-root counts partition the objective, line
+// up with the instance's components, and never undercut their bound.
+// The bound must hold against the exact optimum of each component.
+func TestRootEvidence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		var jobs []instance.Job
+		for k := 0; k < 1+trial%4; k++ {
+			part := gen.RandomLaminar(rng, gen.DefaultLaminar(3+trial%6, 2)).Shift(int64(k) * 500)
+			jobs = append(jobs, part.Jobs...)
+		}
+		in := instance.MustNew(2, jobs)
+		_, rep, err := Solve(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps, _ := in.Components()
+		if len(rep.Roots) != len(comps) {
+			t.Fatalf("%d roots, %d components", len(rep.Roots), len(comps))
+		}
+		var sum int64
+		for i, r := range rep.Roots {
+			sum += r.Active
+			if r.Bound > r.Active {
+				t.Fatalf("root %d: bound %d above comb's %d", i, r.Bound, r.Active)
+			}
+			opt, err := exact.Opt(comps[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Bound > opt {
+				t.Fatalf("root %d: bound %d above OPT %d\n%v", i, r.Bound, opt, comps[i].Jobs)
+			}
+			if h, _ := comps[i].Horizon(); h != r.Window {
+				t.Fatalf("root %d window %v, component spans %v", i, r.Window, h)
+			}
+		}
+		if sum != rep.ActiveSlots {
+			t.Fatalf("root counts sum to %d, objective %d", sum, rep.ActiveSlots)
+		}
+	}
+}
+
+// TestFallbackPerRoot: the greedy comes up short on one root (three
+// jobs that fill [0,4) at g=2 only if the p=2 job takes the slots the
+// p=3 jobs leave free at both ends). Only that root falls back to the
+// max-flow schedule; the other root keeps the placement it gets when
+// solved alone.
+func TestFallbackPerRoot(t *testing.T) {
+	short := []instance.Job{
+		{Processing: 3, Release: 0, Deadline: 4},
+		{Processing: 2, Release: 0, Deadline: 4},
+		{Processing: 3, Release: 0, Deadline: 4},
+	}
+	other := gen.NestedChain(6, 2, 1).Shift(100)
+	in := instance.MustNew(2, append(append([]instance.Job(nil), short...), other.Jobs...))
+	s, rep, err := Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(in); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Fallback || rep.Stats.Counters.CombFallbacks != 1 {
+		t.Fatalf("fallback %v, counter %d: want one fallback", rep.Fallback, rep.Stats.Counters.CombFallbacks)
+	}
+	alone, _, err := Solve(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tm, js := range alone.Slots {
+		got := s.Slots[tm]
+		if len(got) != len(js) {
+			t.Fatalf("slot %d: %d jobs, %d when solved alone", tm, len(got), len(js))
+		}
+	}
+	if rep.Roots[0].Active != 4 || rep.Roots[1].Active != alone.NumActive() {
+		t.Fatalf("root counts %+v, want 4 and %d", rep.Roots, alone.NumActive())
+	}
+}
+
 // TestDeepChain900 is the production shape: the depth-900 chain must
 // solve without the LP path and produce a flow-verified schedule.
 func TestDeepChain900(t *testing.T) {

@@ -224,6 +224,33 @@ func (t *Tree) SizeBytes() int64 {
 	return b
 }
 
+// LowerBounds returns, per node v, a lower bound on the active slots
+// any feasible schedule opens inside K(v): the largest of ⌈vol(v)/g⌉
+// (the processing of every job in v's subtree must fit there), the
+// longest job in the subtree (it needs that many distinct slots), and
+// the sum of the children's bounds (their windows are disjoint). One
+// post-order sweep, O(n). A component's bound is its root's entry.
+func (t *Tree) LowerBounds() []int64 {
+	lb := make([]int64, len(t.Nodes))
+	vol := make([]int64, len(t.Nodes))
+	maxP := make([]int64, len(t.Nodes))
+	for _, id := range t.PostOrder() {
+		n := &t.Nodes[id]
+		var sum int64
+		for _, c := range n.Children {
+			vol[id] += vol[c]
+			maxP[id] = max(maxP[id], maxP[c])
+			sum += lb[c]
+		}
+		for _, j := range n.Jobs {
+			vol[id] += t.Jobs[j].Processing
+			maxP[id] = max(maxP[id], t.Jobs[j].Processing)
+		}
+		lb[id] = max((vol[id]+t.G-1)/t.G, maxP[id], sum)
+	}
+	return lb
+}
+
 // IsLeaf reports whether node id has no children.
 func (t *Tree) IsLeaf(id int) bool { return len(t.Nodes[id].Children) == 0 }
 

@@ -280,3 +280,42 @@ func TestExclusiveSlotsPanicsOnOverdraw(t *testing.T) {
 	}()
 	tr.ExclusiveSlots(0, 99)
 }
+
+// TestLowerBounds checks each term of the tree bound on a two-root
+// forest: the volume term at one root, the children's sum at the
+// other, and the longest job at a leaf.
+func TestLowerBounds(t *testing.T) {
+	in := mkInstance(t, 3,
+		// Root [0,10): children [0,4) and [6,10) each need 4 slots for
+		// their p=4 job, so the sum 8 beats ⌈9/3⌉ = 3.
+		instance.Job{Processing: 1, Release: 0, Deadline: 10},
+		instance.Job{Processing: 4, Release: 0, Deadline: 4},
+		instance.Job{Processing: 4, Release: 6, Deadline: 10},
+		// Root [20,30): six p=5 jobs need ⌈30/3⌉ = 10 slots.
+		instance.Job{Processing: 5, Release: 20, Deadline: 30},
+		instance.Job{Processing: 5, Release: 20, Deadline: 30},
+		instance.Job{Processing: 5, Release: 20, Deadline: 30},
+		instance.Job{Processing: 5, Release: 20, Deadline: 30},
+		instance.Job{Processing: 5, Release: 20, Deadline: 30},
+		instance.Job{Processing: 5, Release: 20, Deadline: 30},
+	)
+	tr, err := Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := tr.LowerBounds()
+	if len(tr.Roots) != 2 {
+		t.Fatalf("roots: %v", tr.Roots)
+	}
+	if got := lb[tr.Roots[0]]; got != 8 {
+		t.Errorf("first root bound %d, want 8 (children's sum)", got)
+	}
+	if got := lb[tr.Roots[1]]; got != 10 {
+		t.Errorf("second root bound %d, want 10 (volume)", got)
+	}
+	for _, c := range tr.Nodes[tr.Roots[0]].Children {
+		if lb[c] != 4 {
+			t.Errorf("leaf %v bound %d, want 4 (longest job)", tr.Nodes[c].K, lb[c])
+		}
+	}
+}

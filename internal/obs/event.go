@@ -109,6 +109,9 @@ type Event struct {
 	Family      string `json:"family,omitempty"`
 
 	ActiveSlots int64 `json:"active_slots,omitempty"`
+	// LowerBound is the laminar-tree bound of a certificate-first auto
+	// solve; ActiveSlots − LowerBound is the optimality gap.
+	LowerBound int64 `json:"lower_bound,omitempty"`
 
 	// ElapsedMS is the whole request (async: submit → terminal);
 	// SolveMS is the solver execution that produced the result — for
@@ -149,6 +152,11 @@ type Counters struct {
 	BBNodes        int64 `json:"bb_nodes_expanded,omitempty"`
 	TransformMoves int64 `json:"transform_moves,omitempty"`
 	ForestsSolved  int64 `json:"forests_solved,omitempty"`
+
+	CombActivations   int64 `json:"comb_activations,omitempty"`
+	CombReused        int64 `json:"comb_reused,omitempty"`
+	CombDeactivations int64 `json:"comb_deactivations,omitempty"`
+	CombFallbacks     int64 `json:"comb_fallbacks,omitempty"`
 }
 
 // FillStats folds a solve's instrumentation snapshot into the event:
@@ -178,6 +186,11 @@ func (e *Event) FillStats(st *metrics.Stats) {
 			BBNodes:        c.BBNodesExpanded,
 			TransformMoves: c.TransformMoves,
 			ForestsSolved:  c.ForestsSolved,
+
+			CombActivations:   c.CombActivations,
+			CombReused:        c.CombReused,
+			CombDeactivations: c.CombDeactivations,
+			CombFallbacks:     c.CombFallbacks,
 		}
 	}
 }

@@ -506,8 +506,8 @@ func TestSolveCacheCoalesce(t *testing.T) {
 	// come back relabeled for the joiner's ordering, not the leader's.
 	permuted := `{"g":2,"jobs":[{"p":2,"r":3,"d":6},{"p":2,"r":0,"d":6},{"p":1,"r":0,"d":3}]}`
 	bodies := []string{
-		`{"instance":` + smallInstance + `}`,
-		`{"instance":` + permuted + `,"include_schedule":true}`,
+		`{"instance":` + smallInstance + `,"algorithm":"nested95"}`,
+		`{"instance":` + permuted + `,"algorithm":"nested95","include_schedule":true}`,
 	}
 	type reply struct {
 		code int

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	activetime "repro"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -55,7 +56,8 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) int {
 func TestDebugEventsEndpoint(t *testing.T) {
 	_, ts, _ := testServerCfg(t, obsConfig())
 
-	resp1, data1 := postSolve(t, ts, `{"instance":`+smallInstance+`}`)
+	lpBody := `{"instance":` + smallInstance + `,"algorithm":"nested95"}`
+	resp1, data1 := postSolve(t, ts, lpBody)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("solve: %d %s", resp1.StatusCode, data1)
 	}
@@ -63,9 +65,14 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(data1, &first); err != nil {
 		t.Fatal(err)
 	}
-	if resp2, data2 := postSolve(t, ts, `{"instance":`+smallInstance+`}`); resp2.StatusCode != http.StatusOK ||
+	if resp2, data2 := postSolve(t, ts, lpBody); resp2.StatusCode != http.StatusOK ||
 		!bytes.Contains(data2, []byte(`"cached":true`)) {
 		t.Fatalf("warm solve: %d %s", resp2.StatusCode, data2)
+	}
+	// Auto goes certificate-first; comb meets the tree bound here.
+	if resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`}`); resp.StatusCode != http.StatusOK ||
+		!bytes.Contains(data, []byte(`"algorithm":"comb"`)) {
+		t.Fatalf("auto solve: %d %s", resp.StatusCode, data)
 	}
 	if resp3, _ := postSolve(t, ts, `{`); resp3.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad json: %d, want 400", resp3.StatusCode)
@@ -75,11 +82,11 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	if code := getJSON(t, ts, "/debug/events", &page); code != http.StatusOK {
 		t.Fatalf("/debug/events: %d", code)
 	}
-	if page.Total != 3 || len(page.Events) != 3 {
-		t.Fatalf("events page: total %d returned %d, want 3/3", page.Total, len(page.Events))
+	if page.Total != 4 || len(page.Events) != 4 {
+		t.Fatalf("events page: total %d returned %d, want 4/4", page.Total, len(page.Events))
 	}
-	// Oldest first: ok, cached, client_error.
-	wantStatus := []string{obs.StatusOK, obs.StatusCached, obs.StatusClientErr}
+	// Oldest first: ok, cached, ok, client_error.
+	wantStatus := []string{obs.StatusOK, obs.StatusCached, obs.StatusOK, obs.StatusClientErr}
 	for i, ev := range page.Events {
 		if ev.Status != wantStatus[i] {
 			t.Errorf("event %d status %q, want %q", i, ev.Status, wantStatus[i])
@@ -104,6 +111,14 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	if len(solved.Stages) == 0 || solved.Counters == nil || solved.Counters.SimplexPivots == 0 {
 		t.Errorf("solved event missing stage timings/counters: %+v", solved)
 	}
+	combEv := page.Events[2]
+	if combEv.Algorithm != string(activetime.AlgCombinatorial) || combEv.RouteReason != activetime.RouteReasonCertificateFirst ||
+		combEv.LowerBound <= 0 || combEv.LowerBound > combEv.ActiveSlots {
+		t.Errorf("certificate-first event: %+v", combEv)
+	}
+	if c := combEv.Counters; c == nil || c.CombActivations == 0 {
+		t.Errorf("comb-served event missing comb counters: %+v", combEv.Counters)
+	}
 	// The cached event must not re-claim solver work but still carries
 	// the measured time of the original solve.
 	if page.Events[1].MeasuredNS != solved.MeasuredNS {
@@ -117,7 +132,7 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	}
 	var limited obs.EventsPage
 	getJSON(t, ts, "/debug/events?limit=1", &limited)
-	if limited.Total != 3 || len(limited.Events) != 1 || limited.Events[0].Status != obs.StatusClientErr {
+	if limited.Total != 4 || len(limited.Events) != 1 || limited.Events[0].Status != obs.StatusClientErr {
 		t.Errorf("limit keeps newest: %+v", limited)
 	}
 	if code := getJSON(t, ts, "/debug/events?limit=bogus", nil); code != http.StatusBadRequest {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	activetime "repro"
+	"repro/internal/gapfam"
 	"repro/internal/gen"
 	"repro/internal/instance"
 	"repro/internal/obs"
@@ -58,12 +59,47 @@ func TestAutoRoutesDeepChainToComb(t *testing.T) {
 	}
 }
 
-// TestAutoSmallNestedStaysOnLP pins the other side of the routing:
-// small shallow nested instances keep the 9/5 pipeline and its
-// certificate.
-func TestAutoSmallNestedStaysOnLP(t *testing.T) {
+// TestAutoCertificateFirst pins the other side of the routing: small
+// shallow nested instances go certificate-first. The response names
+// the solver behind the schedule and carries the tree lower bound, not
+// an LP value that would cover only some components.
+func TestAutoCertificateFirst(t *testing.T) {
 	s, ts, _ := testServerCfg(t, Config{DefaultWorkers: 1, EventRing: 16})
-	resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`}`)
+	for _, in := range []string{smallInstance, instanceJSON(t, gapfam.Nested32(3))} {
+		resp, data := postSolve(t, ts, `{"instance":`+in+`}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var out SolveResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Algorithm != string(activetime.AlgCombinatorial) && out.Algorithm != string(activetime.AlgNested95) {
+			t.Fatalf("certificate-first solve labelled %q, want comb or nested95", out.Algorithm)
+		}
+		if out.LowerBound <= 0 || out.LowerBound > out.ActiveSlots {
+			t.Fatalf("lower_bound %d with active_slots %d", out.LowerBound, out.ActiveSlots)
+		}
+		if bytes.Contains(data, []byte(`"lp_bound"`)) || bytes.Contains(data, []byte(`"certified_ratio"`)) {
+			t.Fatalf("certificate-first response carries a partial LP certificate: %s", data)
+		}
+		page := s.Obs().Events(obs.EventFilter{})
+		ev := page.Events[len(page.Events)-1]
+		if ev.RouteReason != activetime.RouteReasonCertificateFirst {
+			t.Fatalf("event route_reason = %q", ev.RouteReason)
+		}
+		if ev.Algorithm != out.Algorithm || ev.LowerBound != out.LowerBound {
+			t.Fatalf("event algorithm %q lower_bound %d, response %q %d",
+				ev.Algorithm, ev.LowerBound, out.Algorithm, out.LowerBound)
+		}
+	}
+}
+
+// TestAutoLPOptionsKeepNested95: an auto request that sets an option
+// only the LP pipeline honors keeps the whole instance on nested95.
+func TestAutoLPOptionsKeepNested95(t *testing.T) {
+	s, ts, _ := testServerCfg(t, Config{DefaultWorkers: 1, EventRing: 16})
+	resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`,"minimalize":true}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
@@ -71,11 +107,8 @@ func TestAutoSmallNestedStaysOnLP(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Algorithm != string(activetime.AlgNested95) {
-		t.Fatalf("auto routed small nested instance to %q, want nested95", out.Algorithm)
-	}
-	if out.LPBound <= 0 {
-		t.Fatal("LP certificate missing from auto-routed nested95 solve")
+	if out.Algorithm != string(activetime.AlgNested95) || out.LPBound <= 0 || out.LowerBound != 0 {
+		t.Fatalf("auto with minimalize: %s", data)
 	}
 	page := s.Obs().Events(obs.EventFilter{})
 	if ev := page.Events[len(page.Events)-1]; ev.RouteReason != activetime.RouteReasonSmallNestedLP {

@@ -298,6 +298,7 @@ type SolveResponse struct {
 	Algorithm      string  `json:"algorithm"`
 	Jobs           int     `json:"jobs"`
 	ActiveSlots    int64   `json:"active_slots"`
+	LowerBound     int64   `json:"lower_bound,omitempty"` // certificate-first auto only; the gap is active_slots − lower_bound
 	LPBound        float64 `json:"lp_bound,omitempty"`
 	CertifiedRatio float64 `json:"certified_ratio,omitempty"`
 	ElapsedMS      float64 `json:"elapsed_ms"`
@@ -418,10 +419,11 @@ func solveStatus(err error) int {
 
 // route resolves AlgAuto through the router and checks the requested
 // algorithm, returning the routing reason (empty unless the request
-// asked for auto). An unknown algorithm, or an explicitly forced LP
-// whose estimated tableau exceeds -max-solve-mem, is an error the
-// request is rejected with (422) before admission or queueing — never
-// a solve that runs the process out of memory.
+// asked for auto); p.alg stays AlgAuto on the certificate-first route.
+// An unknown algorithm, or an explicitly forced LP whose estimated
+// tableau exceeds -max-solve-mem, is an error the request is rejected
+// with (422) before admission or queueing — never a solve that runs
+// the process out of memory.
 func (s *Server) route(p *plan) (string, error) {
 	switch p.alg {
 	case activetime.AlgAuto:
@@ -433,6 +435,11 @@ func (s *Server) route(p *plan) (string, error) {
 			lim.MaxLPTableauBytes = c
 		}
 		dec := activetime.RouteProfile(p.prof, s.cost, lim)
+		if dec.Algorithm == activetime.AlgAuto && (p.req.ExactLP || p.req.Minimalize || p.req.Compact) {
+			// These options mean something only to the LP pipeline, so
+			// such a request keeps it for the whole instance.
+			dec.Algorithm, dec.Reason = activetime.AlgNested95, activetime.RouteReasonSmallNestedLP
+		}
 		p.alg = dec.Algorithm
 		return dec.Reason, nil
 	case activetime.AlgNested95:
@@ -888,6 +895,11 @@ func (s *Server) executeSolve(ctx context.Context, p *plan) (*activetime.Result,
 				Trace:       tr,
 				CaptureWarm: capture,
 			})
+		case activetime.AlgAuto:
+			res, err = activetime.SolveCertificateFirstCtx(ctx, solveIn, activetime.SolveOptions{
+				Workers: p.workers,
+				Trace:   tr,
+			})
 		default:
 			res, err = activetime.SolveTracedCtx(ctx, solveIn, p.alg, tr)
 		}
@@ -998,6 +1010,10 @@ func (s *Server) fillEvent(p *plan, cacheOutcome, key string, out *solveOutcome,
 	}
 	ev.WarmFallback = out.warmFallback
 	if out.res != nil {
+		// Name the solver behind the schedule: a certificate-first solve
+		// is routed as auto but produced by comb or nested95.
+		ev.Algorithm = string(out.res.Algorithm)
+		ev.LowerBound = out.res.LowerBound
 		ev.FillStats(out.res.Stats)
 	}
 	// Feed fresh cold solves (not cache hits — solveNS there is the
@@ -1021,6 +1037,7 @@ func (s *Server) buildSolveResponse(p *plan, res *activetime.Result, cached bool
 		Algorithm:      string(res.Algorithm),
 		Jobs:           p.in.N(),
 		ActiveSlots:    res.ActiveSlots,
+		LowerBound:     res.LowerBound,
 		LPBound:        res.LPLowerBound,
 		CertifiedRatio: res.CertifiedRatio,
 		ElapsedMS:      float64(elapsed.Microseconds()) / 1e3,

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func TestHealthz(t *testing.T) {
 func TestSolveEndpoint(t *testing.T) {
 	_, ts, logBuf := testServer(t)
 	resp, data := postSolve(t, ts,
-		`{"instance":`+smallInstance+`,"include_schedule":true,"include_trace":true}`)
+		`{"instance":`+smallInstance+`,"algorithm":"nested95","include_schedule":true,"include_trace":true}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
@@ -237,7 +238,13 @@ func TestConcurrentSolvesRegistryConsistent(t *testing.T) {
 		if err := in.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		bodies[i] = fmt.Sprintf(`{"instance":%s,"workers":%d}`, buf.String(), 1+i%4)
+		// Half the bodies name nested95 so both the LP pipeline and the
+		// certificate-first auto route feed the registry.
+		alg := "auto"
+		if i%2 == 1 {
+			alg = "nested95"
+		}
+		bodies[i] = fmt.Sprintf(`{"instance":%s,"algorithm":%q,"workers":%d}`, buf.String(), alg, 1+i%4)
 	}
 
 	const goroutines, perG = 8, 6
@@ -269,21 +276,11 @@ func TestConcurrentSolvesRegistryConsistent(t *testing.T) {
 	n := 0
 	for c := range statsCh {
 		n++
-		sum.SimplexSolves += c.SimplexSolves
-		sum.SimplexPivots += c.SimplexPivots
-		sum.SimplexPhase1Pivots += c.SimplexPhase1Pivots
-		sum.RatSolves += c.RatSolves
-		sum.RatPivots += c.RatPivots
-		sum.DinicRuns += c.DinicRuns
-		sum.DinicBFSRounds += c.DinicBFSRounds
-		sum.DinicAugPaths += c.DinicAugPaths
-		sum.PushRelabelRuns += c.PushRelabelRuns
-		sum.PushRelabelPushes += c.PushRelabelPushes
-		sum.PushRelabelRelabels += c.PushRelabelRelabels
-		sum.BBNodesExpanded += c.BBNodesExpanded
-		sum.BBNodesPruned += c.BBNodesPruned
-		sum.TransformMoves += c.TransformMoves
-		sum.ForestsSolved += c.ForestsSolved
+		// Every field, so a counter added later cannot slip past.
+		sv, cv := reflect.ValueOf(&sum).Elem(), reflect.ValueOf(c)
+		for f := 0; f < sv.NumField(); f++ {
+			sv.Field(f).SetInt(sv.Field(f).Int() + cv.Field(f).Int())
+		}
 	}
 	if n != goroutines*perG {
 		t.Fatalf("got %d successful solves, want %d", n, goroutines*perG)
@@ -306,7 +303,7 @@ func TestConcurrentSolvesRegistryConsistent(t *testing.T) {
 // cumulative seconds and the solve-latency histogram after traffic.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := testServer(t)
-	if resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`}`); resp.StatusCode != http.StatusOK {
+	if resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`,"algorithm":"nested95"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d: %s", resp.StatusCode, data)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
