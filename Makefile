@@ -25,6 +25,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDinicVsPushRelabel -fuzztime=$(FUZZTIME) ./internal/maxflow
 	$(GO) test -run='^$$' -fuzz=FuzzSimplexVsRatsimplex -fuzztime=$(FUZZTIME) ./internal/ratsimplex
 	$(GO) test -run='^$$' -fuzz=FuzzDifferentialNested -fuzztime=$(FUZZTIME) ./internal/comb
+	$(GO) test -run='^$$' -fuzz=FuzzGreedyRuns -fuzztime=$(FUZZTIME) ./internal/greedy
 	$(GO) test -run='^$$' -fuzz=FuzzWarmVsCold -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCertificateFirst -fuzztime=$(FUZZTIME) .
 

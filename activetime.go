@@ -179,10 +179,11 @@ func SolveTraced(in *Instance, alg Algorithm, tr *Tracer) (*Result, error) {
 	return SolveTracedCtx(context.Background(), in, alg, tr)
 }
 
-// SolveTracedCtx combines SolveCtx and SolveTraced. For AlgNested95
-// cancellation is cooperative throughout the pipeline; the remaining
-// algorithms check ctx before starting (they are either fast or, for
-// AlgExact, intended for small instances).
+// SolveTracedCtx combines SolveCtx and SolveTraced. For AlgNested95,
+// AlgCombinatorial and both greedy orders cancellation is cooperative
+// throughout the solve; AlgAllOpen and AlgExact check ctx before
+// starting (the first is one flow, the second intended for small
+// instances).
 func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -210,7 +211,7 @@ func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer
 		return SolveCombinatorialCtx(ctx, in, SolveOptions{Trace: tr})
 	case AlgGreedyMinimal:
 		sp := tr.StartSpan("solve", trace.String("algorithm", string(alg)))
-		res, err := greedy.MinimalFeasible(in, greedy.LeftToRight)
+		res, err := greedy.MinimalFeasibleCtx(ctx, in, greedy.LeftToRight)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -218,7 +219,7 @@ func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer
 		return wrap(alg, res.Schedule), nil
 	case AlgGreedyRTL:
 		sp := tr.StartSpan("solve", trace.String("algorithm", string(alg)))
-		res, err := greedy.LazyRightToLeft(in)
+		res, err := greedy.MinimalFeasibleCtx(ctx, in, greedy.RightToLeft)
 		sp.End()
 		if err != nil {
 			return nil, err

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	activetime "repro"
 	"repro/internal/crosscheck"
@@ -30,8 +31,11 @@ import (
 
 func main() {
 	path := flag.String("in", "", "instance JSON file (required)")
-	alg := flag.String("alg", string(activetime.AlgNested95),
-		"algorithm: nested95 | greedy-minimal | greedy-rtl | exact | all-open")
+	algNames := make([]string, 0, len(activetime.Algorithms()))
+	for _, a := range activetime.Algorithms() {
+		algNames = append(algNames, string(a))
+	}
+	alg := flag.String("alg", string(activetime.AlgNested95), "algorithm: "+strings.Join(algNames, " | "))
 	verbose := flag.Bool("v", false, "print the full slot-by-slot schedule")
 	gantt := flag.Bool("gantt", false, "print an ASCII Gantt chart")
 	metrics := flag.Bool("metrics", false, "print schedule metrics")
@@ -39,10 +43,10 @@ func main() {
 	exactLP := flag.Bool("exact-lp", false, "nested95: solve the LP in exact rational arithmetic")
 	minimize := flag.Bool("minimize", false, "nested95: close removable slots after rounding")
 	compact := flag.Bool("compact", false, "nested95: place slots to minimize power-on events")
-	stats := flag.Bool("stats", false, "nested95: append pipeline instrumentation (stage times, pivot and flow counters) as JSON")
+	stats := flag.Bool("stats", false, "nested95, comb, auto: append solver instrumentation (stage times, pivot, flow and comb counters) as JSON")
 	workers := flag.Int("workers", 1, "nested95: worker-pool size for solving independent forests concurrently")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON span trace of the solve to this file (load in chrome://tracing or Perfetto)")
-	outPath := flag.String("out", "", "write the schedule as JSON to this file")
+	outPath := flag.String("out", "", "write the schedule to this file as one line of compact JSON")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this wall time (0 = unlimited)")
 	flag.Parse()
 
@@ -115,7 +119,7 @@ func main() {
 	}
 	if *stats {
 		if res.Stats == nil {
-			fmt.Fprintf(os.Stderr, "activetime: -stats: algorithm %s records no instrumentation (use -alg nested95)\n", res.Algorithm)
+			fmt.Fprintf(os.Stderr, "activetime: -stats: algorithm %s records no instrumentation (nested95, comb and auto do)\n", res.Algorithm)
 		} else {
 			b, err := json.MarshalIndent(res.Stats, "", "  ")
 			if err != nil {
@@ -138,8 +142,11 @@ func main() {
 		if err != nil {
 			fatal("write_schedule", err)
 		}
-		defer f.Close()
-		if err := res.Schedule.WriteJSON(f); err != nil {
+		err = res.Schedule.WriteJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fatal("write_schedule", err)
 		}
 	}

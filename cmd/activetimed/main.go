@@ -56,7 +56,7 @@ func main() {
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-solve wall-time cap (0 = unlimited); requests can only tighten it")
 	cacheEntries := flag.Int("cache-entries", 256, "solve-result LRU capacity (0 disables caching and coalescing)")
 	cacheWarmBytes := flag.Int64("cache-warm-bytes", 64<<20, "budget for warm solver state retained on cache entries for near-miss warm starts (0 disables warm starts)")
-	maxSolveMem := flag.Int64("max-solve-mem", 1<<30, "reject (422) explicitly forced nested95 solves whose estimated LP tableau exceeds this many bytes (0 disables)")
+	maxSolveMem := flag.Int64("max-solve-mem", 1<<30, "reject (422) any solve whose estimated allocation (schedule, per-slot structures, LP tableau) for the routed algorithm exceeds this many bytes (0 disables)")
 	jobsRunning := flag.Int("jobs-running", 2, "async job execution slots, separate from -max-inflight (0 disables the job API)")
 	jobsQueued := flag.Int("jobs-queued", 256, "maximum queued async jobs across all classes")
 	jobsPolicy := flag.String("jobs-policy", "sjf", "async job scheduling policy: fcfs | priority | sjf")

@@ -41,6 +41,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/gapfam"
 	"repro/internal/gen"
+	"repro/internal/greedy"
 	"repro/internal/instance"
 	"repro/internal/metrics"
 	"repro/internal/solvecache"
@@ -51,7 +52,9 @@ const schema = "activetime-bench-core/v1"
 // family is a named, fixed set of instances solved as one benchmark op.
 // algorithm selects the solver: "" is the core 9/5 LP pipeline, "comb"
 // the lazy-activation combinatorial solver — the path the auto router
-// uses for shapes (deep chains, huge forests) the LP cannot afford.
+// uses for shapes (deep chains, huge forests) the LP cannot afford —
+// and "greedy-minimal" the minimal-feasible scan it uses for crossing
+// windows (it records no counters).
 type family struct {
 	name      string
 	algorithm string
@@ -150,6 +153,23 @@ func families() []family {
 		}
 		return family{name: name, instances: ins}
 	}
+	// general holds fixed-seed crossing-window instances of 8–32 jobs,
+	// with every r, d and p multiplied by scale: the auto router's
+	// greedy-minimal route, whose cost should follow the job count and
+	// not the horizon.
+	general := func(name string, count int, g int64, scale int64, seed int64) family {
+		rng := rand.New(rand.NewSource(seed))
+		ins := make([]*instance.Instance, count)
+		for i := range ins {
+			base := gen.RandomGeneral(rng, gen.DefaultGeneral(8+rng.Intn(25), g))
+			jobs := make([]instance.Job, base.N())
+			for k, j := range base.Jobs {
+				jobs[k] = instance.Job{Processing: scale * j.Processing, Release: scale * j.Release, Deadline: scale * j.Deadline}
+			}
+			ins[i] = instance.MustNew(g, jobs)
+		}
+		return family{name: name, algorithm: "greedy-minimal", instances: ins}
+	}
 	nestedLarge := nested("nested-large", 4, 64, 4, 303)
 	forest100k := []*instance.Instance{gen.NestedForest(10, 5, 4, 30, 4)}
 	return []family{
@@ -183,6 +203,11 @@ func families() []family {
 		{name: "nested-1m", algorithm: "comb", instances: []*instance.Instance{
 			gen.NestedForest(25, 6, 4, 30, 4),
 		}},
+		// greedy-general / greedy-general-x16 are the same instances at
+		// time scales 1 and 16: the run scan's ns/op should stay within
+		// a small factor across them (a slot-by-slot scan is ~200× apart).
+		general("greedy-general", 8, 3, 1, 505),
+		general("greedy-general-x16", 8, 3, 16, 505),
 		// Delta families time the warm-start resume paths against cold
 		// re-solves of the same near-miss (see benchDeltaFamily):
 		// raised g on the LP and combinatorial paths, and a 10% nested
@@ -243,9 +268,12 @@ func benchFamily(f family, runs int, budget time.Duration) (FamilyResult, error)
 	solveAll := func(rec *metrics.Recorder) error {
 		for _, in := range f.instances {
 			var err error
-			if f.algorithm == "comb" {
+			switch f.algorithm {
+			case "comb":
 				_, _, err = comb.SolveContext(context.Background(), in, comb.Options{Metrics: rec})
-			} else {
+			case "greedy-minimal":
+				_, err = greedy.MinimalFeasible(in, greedy.LeftToRight)
+			default:
 				_, _, err = core.SolveWithOptions(in, core.Options{Workers: 1, Metrics: rec})
 			}
 			if err != nil {

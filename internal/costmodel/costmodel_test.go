@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -275,8 +276,9 @@ func TestProfile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := gen.RandomLaminar(rng, gen.DefaultLaminar(20, 3))
 	p := NewProfile(in)
-	if p.Family != FamilyFor(in) || p.Jobs != in.N() || p.Depth != Depth(in) {
-		t.Fatalf("profile %+v disagrees with FamilyFor/N/Depth", p)
+	if p.Family != FamilyFor(in) || p.Jobs != in.N() || p.Depth != Depth(in) ||
+		p.Slots != int64(len(in.SortedSlots())) || p.Units != in.TotalProcessing() {
+		t.Fatalf("profile %+v disagrees with FamilyFor/N/Depth/SortedSlots/TotalProcessing", p)
 	}
 	if p.lp != nil {
 		t.Fatal("LP estimate computed before first use")
@@ -288,5 +290,42 @@ func TestProfile(t *testing.T) {
 	p.LP()
 	if p.lp != first {
 		t.Fatal("LP estimate recomputed")
+	}
+}
+
+// TestSolveBytes: the slot universe excludes gaps between windows, the
+// per-slot terms apply only to the algorithms that walk slots, and the
+// estimate saturates instead of overflowing.
+func TestSolveBytes(t *testing.T) {
+	in := instance.MustNew(2, []instance.Job{
+		{Processing: 2, Release: 0, Deadline: 10},
+		{Processing: 1, Release: 5, Deadline: 15},
+		{Processing: 3, Release: 1000, Deadline: 1010},
+	})
+	p := NewProfile(in)
+	if p.Slots != 25 || p.Units != 6 {
+		t.Fatalf("slots %d units %d, want 25 and 6", p.Slots, p.Units)
+	}
+	wide := NewProfile(instance.MustNew(1, []instance.Job{{Processing: 1, Release: 0, Deadline: 1 << 40}}))
+	for _, alg := range []string{"greedy-minimal", "greedy-rtl", "nested95"} {
+		if got := wide.SolveBytes(alg); got > 1<<20 {
+			t.Errorf("%s: %d bytes for one unit job; its work does not follow the window", alg, got)
+		}
+	}
+	for _, alg := range []string{"auto", "comb", "all-open", "exact"} {
+		if got := wide.SolveBytes(alg); got < 1<<40 {
+			t.Errorf("%s: %d bytes for a 2⁴⁰-slot window", alg, got)
+		}
+	}
+	huge := NewProfile(instance.MustNew(1, []instance.Job{
+		{Processing: math.MaxInt64 / 2, Release: 0, Deadline: math.MaxInt64 / 2},
+		{Processing: math.MaxInt64 / 2, Release: 0, Deadline: math.MaxInt64 / 2},
+		{Processing: math.MaxInt64 / 2, Release: 0, Deadline: math.MaxInt64 / 2},
+	}))
+	if huge.Units != math.MaxInt64 {
+		t.Errorf("units %d, want saturation at MaxInt64", huge.Units)
+	}
+	if got := huge.SolveBytes("all-open"); got != math.MaxInt64 {
+		t.Errorf("all-open: %d bytes, want saturation at MaxInt64", got)
 	}
 }

@@ -19,8 +19,8 @@
 package greedy
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/flowfeas"
 	"repro/internal/instance"
@@ -60,28 +60,76 @@ func AllOpen(in *instance.Instance) (Result, error) {
 // feasibility is monotone in the slot set, so a slot that cannot be
 // removed now can never be removed after further deactivations.
 func MinimalFeasible(in *instance.Instance, order Order) (Result, error) {
-	slots := in.SortedSlots()
-	if !flowfeas.CheckSlots(in, slots) {
+	return MinimalFeasibleCtx(context.Background(), in, order)
+}
+
+// MinimalFeasibleCtx is MinimalFeasible with cooperative cancellation:
+// every feasibility probe checks ctx once per Dinic phase, and the
+// returned error wraps ctx.Err().
+//
+// The scan runs over breakpoint runs rather than single slots. The
+// slots of one run lie in exactly the same job windows, so they are
+// interchangeable, and feasibility is monotone in a run's open count.
+// The slot-by-slot scan therefore closes a prefix of each run
+// (left-to-right) or a suffix (right-to-left): once one slot of a run
+// fails to close, every later slot of that run fails at the same
+// count. One binary search per run over its closed count reproduces
+// that scan exactly, with O(log L) flows per run of length L on a
+// network of n + runs nodes instead of one flow per slot.
+func MinimalFeasibleCtx(ctx context.Context, in *instance.Instance, order Order) (Result, error) {
+	rn := newRunNet(in)
+	ok, err := rn.feasible(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	if !ok {
 		return Result{}, fmt.Errorf("greedy: instance infeasible")
 	}
-	open := make([]bool, len(slots))
-	for i := range open {
-		open[i] = true
+	closed := make([]int64, len(rn.runs))
+	for i := range rn.runs {
+		k := i
+		if order == RightToLeft {
+			k = len(rn.runs) - 1 - i
+		}
+		// Largest closed count that keeps the instance feasible, with
+		// the runs before k in scan order decided and those after it
+		// fully open. Closing none is feasible by induction. The first
+		// probe closes the whole run, the common outcome where other
+		// runs can absorb its work; the bisection then halves the rest.
+		length := rn.runs[k].b - rn.runs[k].a
+		lo, hi := int64(0), length
+		for mid := hi; lo < hi; mid = hi - (hi-lo)/2 {
+			rn.setOpen(k, length-mid)
+			ok, err := rn.feasible(ctx)
+			if err != nil {
+				return Result{}, err
+			}
+			if ok {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		rn.setOpen(k, length-lo)
+		closed[k] = lo
 	}
-	idx := make([]int, len(slots))
-	for i := range idx {
-		idx[i] = i
+	var total int64
+	for k, r := range rn.runs {
+		total += r.b - r.a - closed[k]
 	}
-	if order == RightToLeft {
-		sort.Sort(sort.Reverse(sort.IntSlice(idx)))
-	}
-	for _, k := range idx {
-		open[k] = false
-		if !flowfeas.CheckSlots(in, collect(slots, open)) {
-			open[k] = true
+	final := make([]int64, 0, total)
+	for k, r := range rn.runs {
+		a, b := r.a+closed[k], r.b
+		if order == RightToLeft {
+			a, b = r.a, r.b-closed[k]
+		}
+		for t := a; t < b; t++ {
+			final = append(final, t)
 		}
 	}
-	final := collect(slots, open)
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	s, err := flowfeas.ScheduleOnSlots(in, final)
 	if err != nil {
 		return Result{}, fmt.Errorf("greedy: internal: %w", err)
@@ -112,14 +160,4 @@ func IsMinimal(in *instance.Instance, open []int64) bool {
 		}
 	}
 	return true
-}
-
-func collect(slots []int64, open []bool) []int64 {
-	out := make([]int64, 0, len(slots))
-	for i, b := range open {
-		if b {
-			out = append(out, slots[i])
-		}
-	}
-	return out
 }

@@ -8,6 +8,7 @@ package maxflow
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 )
@@ -52,6 +53,13 @@ func New(n int) *Graph {
 func (g *Graph) AddNode() int {
 	g.adj = append(g.adj, nil)
 	return len(g.adj) - 1
+}
+
+// Reserve grows node u's adjacency list to hold n more edge halves
+// without reallocating. AddEdge stores one half at each endpoint, so a
+// builder that knows every node's degree allocates each list once.
+func (g *Graph) Reserve(u, n int) {
+	g.adj[u] = slices.Grow(g.adj[u], n)
 }
 
 // NumNodes returns the current node count.

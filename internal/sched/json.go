@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 )
 
-// fileFormat is the on-disk JSON shape of a schedule.
+// fileFormat is the JSON shape of a schedule, as ReadJSON decodes it
+// and AppendJSON writes it.
 type fileFormat struct {
 	G     int64      `json:"g"`
 	Slots []fileSlot `json:"slots"`
@@ -18,17 +20,51 @@ type fileSlot struct {
 	Jobs []int `json:"jobs"`
 }
 
-// WriteJSON serializes the schedule with slots in increasing order.
-func (s *Schedule) WriteJSON(w io.Writer) error {
-	ff := fileFormat{G: s.G}
-	for _, t := range s.ActiveSlots() {
-		jobs := append([]int(nil), s.Slots[t]...)
-		sort.Ints(jobs)
-		ff.Slots = append(ff.Slots, fileSlot{T: t, Jobs: jobs})
+// AppendJSON appends the schedule's compact JSON encoding to b and
+// returns the extended slice: {"g":…,"slots":[{"t":…,"jobs":[…]},…]}
+// with active slots in increasing order, job IDs sorted within a
+// slot, and "slots":null for an empty schedule. The bytes are exactly
+// json.Marshal of the file format, written without reflection.
+func (s *Schedule) AppendJSON(b []byte) []byte {
+	b = append(b, `{"g":`...)
+	b = strconv.AppendInt(b, s.G, 10)
+	active := s.ActiveSlots()
+	if len(active) == 0 {
+		return append(b, `,"slots":null}`...)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ff)
+	// Reserve the usual size at once: ~24 bytes of slot framing and up
+	// to 8 per job ID.
+	units := 0
+	for _, t := range active {
+		units += len(s.Slots[t])
+	}
+	b = slices.Grow(b, 32+24*len(active)+8*units)
+	b = append(b, `,"slots":[`...)
+	var jobs []int
+	for i, t := range active {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"t":`...)
+		b = strconv.AppendInt(b, t, 10)
+		b = append(b, `,"jobs":[`...)
+		jobs = append(jobs[:0], s.Slots[t]...)
+		slices.Sort(jobs)
+		for k, id := range jobs {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(id), 10)
+		}
+		b = append(b, "]}"...)
+	}
+	return append(b, "]}"...)
+}
+
+// WriteJSON writes AppendJSON's encoding followed by a newline.
+func (s *Schedule) WriteJSON(w io.Writer) error {
+	_, err := w.Write(append(s.AppendJSON(nil), '\n'))
+	return err
 }
 
 // ReadJSON parses a schedule. Structural validity (per-slot capacity,

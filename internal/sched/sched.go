@@ -6,7 +6,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/instance"
 )
@@ -39,7 +39,7 @@ func (s *Schedule) ActiveSlots() []int64 {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -59,20 +59,25 @@ func (s *Schedule) NumActive() int64 {
 // every job receives exactly p_j units, all inside its window, at most
 // one unit per slot per job, and at most g jobs per slot.
 func (s *Schedule) Validate(in *instance.Instance) error {
-	got := make(map[int]int64, in.N())
+	n := in.N()
+	got := make([]int64, n)
+	// stamp[id] == visit marks job id as already seen in the slot being
+	// visited; visit numbers start at 1, so the zeroed stamps mark none.
+	stamp := make([]int, n)
+	visit := 0
 	for t, js := range s.Slots {
 		if int64(len(js)) > in.G {
 			return fmt.Errorf("sched: slot %d holds %d jobs > g=%d", t, len(js), in.G)
 		}
-		seen := make(map[int]bool, len(js))
+		visit++
 		for _, id := range js {
-			if id < 0 || id >= in.N() {
+			if id < 0 || id >= n {
 				return fmt.Errorf("sched: slot %d references unknown job %d", t, id)
 			}
-			if seen[id] {
+			if stamp[id] == visit {
 				return fmt.Errorf("sched: job %d scheduled twice in slot %d", id, t)
 			}
-			seen[id] = true
+			stamp[id] = visit
 			j := in.Jobs[id]
 			if t < j.Release || t >= j.Deadline {
 				return fmt.Errorf("sched: job %d scheduled at %d outside window [%d,%d)",

@@ -344,6 +344,10 @@ func TestClientDisconnectFreesSolve(t *testing.T) {
 		t.Fatal("client request should have been canceled")
 	}
 	waitUntil(t, 5*time.Second, func() bool { return s.reg.InFlight() == 0 }, "solve goroutine exit")
+	// The abandoned flight drops InFlight before the handler counts the
+	// cancellation; the handler's deferred RequestFinished runs after
+	// that count, so wait for it too before reading the series.
+	waitUntil(t, 5*time.Second, func() bool { return s.reg.InFlightRequests() == 0 }, "handler exit")
 	// A disconnect is a cancellation, not a timeout: the two series
 	// must not be conflated.
 	if got := s.reg.Canceled(); got < 1 {

@@ -189,3 +189,21 @@ func TestJobSubmitForcedLPOverMemCapRejected(t *testing.T) {
 		t.Fatalf("status %d, want 422", resp.StatusCode)
 	}
 }
+
+// TestMemGateAdmitsFeasibleShapes: the -max-solve-mem gate refuses the
+// crash bodies (TestSolveErrors) but not their 10⁶ versions, and not
+// the 10⁸-slot window on the solvers that never walk it slot by slot.
+func TestMemGateAdmitsFeasibleShapes(t *testing.T) {
+	_, ts, _ := testServerCfg(t, Config{DefaultWorkers: 1, MaxSolveMemBytes: DefaultConfig(1).MaxSolveMemBytes})
+	for _, body := range []string{
+		`{"instance":{"g":1,"jobs":[{"p":1,"r":0,"d":1000000}]}}`,
+		`{"instance":{"g":1,"jobs":[{"p":1000000,"r":0,"d":1000000}]}}`,
+		`{"instance":` + wideWindowInstance + `,"algorithm":"greedy-minimal"}`,
+		`{"instance":` + wideWindowInstance + `,"algorithm":"greedy-rtl"}`,
+		`{"instance":` + wideWindowInstance + `,"algorithm":"nested95"}`,
+	} {
+		if resp, data := postSolve(t, ts, body); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d: %s", body, resp.StatusCode, data)
+		}
+	}
+}

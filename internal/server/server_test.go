@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 
+	activetime "repro"
+	"repro/internal/costmodel"
 	"repro/internal/gen"
 	"repro/internal/instance"
 	"repro/internal/metrics"
@@ -147,8 +149,43 @@ var badBodies = []struct {
 		http.StatusUnprocessableEntity},
 }
 
+// Two ~50-byte instances that ran an ungated server out of memory: a
+// window of 10⁸ slots, which comb (and so auto), all-open and exact
+// walk slot by slot, and one job with p = 5·10⁷, whose schedule alone
+// outgrows the default -max-solve-mem on every algorithm.
+const (
+	wideWindowInstance = `{"g":1,"jobs":[{"p":1,"r":0,"d":100000000}]}`
+	hugeWorkInstance   = `{"g":1,"jobs":[{"p":50000000,"r":0,"d":50000000}]}`
+)
+
+// gateBody is a crash instance posted with an explicit algorithm.
+type gateBody struct {
+	name, body string
+	alg        activetime.Algorithm
+}
+
+// memGateBodies are the crash instances on every algorithm that must
+// refuse them under the default cap. The greedy orders and nested95
+// handle the 10⁸-slot window in kilobytes (runs and laminar nodes, not
+// slots), so only the p = 5·10⁷ body is over the cap for them.
+func memGateBodies() []gateBody {
+	var out []gateBody
+	for _, alg := range activetime.Algorithms() {
+		post := func(name, inst string) {
+			out = append(out, gateBody{name + " on " + string(alg),
+				`{"instance":` + inst + `,"algorithm":"` + string(alg) + `"}`, alg})
+		}
+		post("p=5e7", hugeWorkInstance)
+		switch alg {
+		case activetime.AlgAuto, activetime.AlgCombinatorial, activetime.AlgAllOpen, activetime.AlgExact:
+			post("d=1e8", wideWindowInstance)
+		}
+	}
+	return out
+}
+
 func TestSolveErrors(t *testing.T) {
-	s, ts := jobsServer(t, Config{DefaultWorkers: 2})
+	s, ts := jobsServer(t, Config{DefaultWorkers: 2, MaxSolveMemBytes: DefaultConfig(1).MaxSolveMemBytes})
 
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/solve")
@@ -179,8 +216,38 @@ func TestSolveErrors(t *testing.T) {
 		}
 		checkBody(tc.name, data)
 	}
+	for _, tc := range memGateBodies() {
+		// Never post a crash body the gate would let through: check the
+		// estimate the server compares first.
+		var req SolveRequest
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		in, err := instance.ReadJSON(bytes.NewReader(req.Instance))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est := costmodel.NewProfile(in).SolveBytes(string(tc.alg)); est <= DefaultConfig(1).MaxSolveMemBytes {
+			t.Fatalf("%s: estimate %d under the default cap; not posting it", tc.name, est)
+		}
+		for path, post := range map[string]func(*testing.T, *httptest.Server, string) (*http.Response, []byte){
+			"/solve": postSolve, "POST /jobs": postJob,
+		} {
+			resp, data := post(t, ts, tc.body)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%s: %s status %d, want 422 (%s)", tc.name, path, resp.StatusCode, data)
+			}
+			checkBody(tc.name, data)
+			if !strings.Contains(string(data), "estimated") || !strings.Contains(string(data), "cap") {
+				t.Errorf("%s: %s error should name the estimate and the cap: %s", tc.name, path, data)
+			}
+		}
+	}
 	if got := s.Registry().JobsSubmitted("batch"); got != 0 {
 		t.Errorf("rejected bodies queued %d jobs", got)
+	}
+	if got := s.reg.Solves(); got != 0 {
+		t.Errorf("rejected bodies started %d solves", got)
 	}
 
 	// /solve only: infeasibility shows up at solve time (a job fails
