@@ -263,7 +263,7 @@ func E8Scaling(cfg Config) (*Table, error) {
 			f1(float64(st.Counters.DinicAugPaths)/ft))
 	}
 	t.Note("stage columns and operation counters come from the metrics recorder of the timed runs themselves")
-	t.Note("the LP solve dominates nested95; the greedy's cost is its O(T) full flow re-checks")
+	t.Note("the LP solve dominates nested95; greedy-RtL runs one small flow per probe of a binary search per breakpoint run")
 	return t, nil
 }
 
