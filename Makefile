@@ -25,9 +25,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDinicVsPushRelabel -fuzztime=$(FUZZTIME) ./internal/maxflow
 	$(GO) test -run='^$$' -fuzz=FuzzSimplexVsRatsimplex -fuzztime=$(FUZZTIME) ./internal/ratsimplex
 	$(GO) test -run='^$$' -fuzz=FuzzDifferentialNested -fuzztime=$(FUZZTIME) ./internal/comb
+	$(GO) test -run='^$$' -fuzz=FuzzSweepMatchesReference -fuzztime=$(FUZZTIME) ./internal/comb
 	$(GO) test -run='^$$' -fuzz=FuzzGreedyRuns -fuzztime=$(FUZZTIME) ./internal/greedy
 	$(GO) test -run='^$$' -fuzz=FuzzWarmVsCold -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzCertificateFirst -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzSolveHTTP -fuzztime=$(FUZZTIME) ./internal/server
 
 # Service smoke: build the real activetimed binary, boot it on a
 # random port, hit /healthz and /metrics over HTTP, validate the

@@ -2,10 +2,12 @@
 // active-time instances: a Chang–Gabow–Khuller / Kumar–Khuller style
 // lazy-activation / lazy-deactivation algorithm over the laminar
 // forest, running in O(n log n + P·α) for P total processing units —
-// and, crucially, in O(n + horizon) memory. It is the fast path for
-// the deep or huge instances whose strengthened-LP tableau (~depth⁴
-// cells on a single chain) cannot be materialized; `AlgAuto` in the
-// root package routes such instances here.
+// and, crucially, in memory linear in the slot universe (the union of
+// the root windows) and P: about 36 bytes per slot and 130 per unit
+// (costmodel's combSlotBytes and combUnitBytes), where the
+// strengthened LP's tableau has ~depth⁴ cells on a single chain and
+// cannot be materialized. `AlgAuto` in the root package runs it first
+// on every nested instance.
 //
 // The algorithm processes jobs innermost-first (deadline ascending,
 // release descending), which by laminarity means every job placed
@@ -13,19 +15,24 @@
 // Each job first reuses active non-full slots of its window latest
 // first (a predecessor-bitset walk), then lazily activates the latest
 // inactive slots (a union-find walk) for any deficit. A final lazy
-// deactivation sweep tries to drain lightly-loaded slots into the
-// residual capacity of other active slots and close them. The
-// schedule is validated by sched.Validate before it is returned. When
-// the greedy comes up short on some job (rare, but it happens on
-// feasible input with non-unit jobs), the job's root window falls back to a flowfeas max-flow schedule of that
-// root's jobs over all of its candidate slots, trimmed by the same
-// deactivation sweep; the other roots keep their greedy placement. The
-// event is counted in the comb_fallbacks metric.
+// deactivation sweep visits the active slots lightest first (a stable
+// counting sort by load) and tries to drain each into the residual
+// capacity of other active slots and close it; every relocation probe
+// costs O(g), asked of the target slot's job list. The schedule is
+// extracted in slot order and validated by sched.Validate before it is
+// returned. When the greedy comes up short on some job (rare, but it
+// happens on feasible input with non-unit jobs), the job's root window
+// falls back to a flowfeas max-flow schedule of that root's jobs over
+// all of its candidate slots, trimmed by the same deactivation sweep;
+// the other roots keep their greedy placement. The event is counted in
+// the comb_fallbacks metric.
 package comb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/flowfeas"
@@ -284,12 +291,6 @@ func (st *state) rootOf(idx int) int {
 	return sort.Search(len(st.off)-1, func(k int) bool { return st.off[k+1] > int64(idx) })
 }
 
-// timeOf maps a slot index back to its time coordinate.
-func (st *state) timeOf(idx int) int64 {
-	r := st.rootOf(idx)
-	return st.roots[r].Start + (int64(idx) - st.off[r])
-}
-
 // indexOf maps a time under some root window to its slot index.
 func (st *state) indexOf(tm int64) int {
 	r := sort.Search(len(st.roots), func(k int) bool { return st.roots[k].End > tm })
@@ -302,18 +303,14 @@ func (st *state) indexOf(tm int64) int {
 // slots is always legal and never blocks a later (outer) job from
 // slots only it can use.
 func innermostOrder(in *instance.Instance, order []int) {
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := in.Jobs[order[a]], in.Jobs[order[b]]
-		if ja.Deadline != jb.Deadline {
-			return ja.Deadline < jb.Deadline
-		}
-		if ja.Release != jb.Release {
-			return ja.Release > jb.Release
-		}
-		if ja.Processing != jb.Processing {
-			return ja.Processing > jb.Processing
-		}
-		return order[a] < order[b]
+	slices.SortFunc(order, func(a, b int) int {
+		ja, jb := in.Jobs[a], in.Jobs[b]
+		return cmp.Or(
+			cmp.Compare(ja.Deadline, jb.Deadline),
+			cmp.Compare(jb.Release, ja.Release),
+			cmp.Compare(jb.Processing, ja.Processing),
+			cmp.Compare(a, b),
+		)
 	})
 }
 
@@ -418,8 +415,8 @@ func (st *state) fallback() error {
 		return err
 	}
 	for _, tm := range s.ActiveSlots() {
-		ids := append([]int(nil), s.Slots[tm]...)
-		sort.Ints(ids)
+		ids := slices.Clone(s.Slots[tm])
+		slices.Sort(ids)
 		si := st.indexOf(tm)
 		for _, local := range ids {
 			ji := back[local]
@@ -458,23 +455,12 @@ const maxProbes = 32
 // whose units all find homes is closed. Moves are committed only when
 // the whole slot drains, so the sweep never increases the objective
 // and preserves feasibility move by move.
+//
+// Every probe costs O(g): whether a job already holds a slot is asked
+// of the slot's job list (at most g entries), never of the job's slot
+// list (up to p_j entries); the two are kept in sync.
 func (st *state) deactivate(ctx context.Context) error {
-	type cand struct {
-		load int64
-		slot int32
-	}
-	var cands []cand
-	for si, l := range st.load {
-		if l > 0 {
-			cands = append(cands, cand{l, int32(si)})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].load != cands[b].load {
-			return cands[a].load < cands[b].load
-		}
-		return cands[a].slot < cands[b].slot
-	})
+	cands := st.lightestFirst()
 
 	type move struct {
 		job int32
@@ -491,10 +477,8 @@ func (st *state) deactivate(ctx context.Context) error {
 		return n
 	}
 	jobHolds := func(ji, slot int32) bool {
-		for _, s := range st.jobSlots[ji] {
-			if s == slot {
-				return true
-			}
+		if slices.Contains(st.slotJobs[slot], ji) {
+			return true
 		}
 		for _, m := range moves {
 			if m.job == ji && m.to == slot {
@@ -504,19 +488,20 @@ func (st *state) deactivate(ctx context.Context) error {
 		return false
 	}
 
+	var jobsHere []int32
 	for k, c := range cands {
 		if k&255 == 255 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		si := int(c.slot)
+		si := int(c)
 		// Earlier closures may have raised this slot's load; recheck.
 		if st.load[si] == 0 {
 			continue
 		}
-		jobsHere := append([]int32(nil), st.slotJobs[si]...)
-		sort.Slice(jobsHere, func(a, b int) bool { return jobsHere[a] < jobsHere[b] })
+		jobsHere = append(jobsHere[:0], st.slotJobs[si]...)
+		slices.Sort(jobsHere)
 		moves = moves[:0]
 		ok := true
 		for _, ji := range jobsHere {
@@ -549,11 +534,8 @@ func (st *state) deactivate(ctx context.Context) error {
 			if st.load[ti] == st.in.G {
 				st.avail.clear(ti)
 			}
-			for x, s := range st.jobSlots[m.job] {
-				if s == c.slot {
-					st.jobSlots[m.job][x] = m.to
-					break
-				}
+			if x := slices.Index(st.jobSlots[m.job], c); x >= 0 {
+				st.jobSlots[m.job][x] = m.to
 			}
 		}
 		st.load[si] = 0
@@ -564,18 +546,66 @@ func (st *state) deactivate(ctx context.Context) error {
 	return nil
 }
 
-// schedule materializes the final assignment.
-func (st *state) schedule() *sched.Schedule {
-	out := sched.New(st.in.G)
-	for si, jobs := range st.slotJobs {
-		if len(jobs) == 0 {
-			continue
+// lightestFirst lists the active slots by load, then by slot index: a
+// stable counting sort over the loads present (at most min(g, n)
+// distinct values), in O(slots + max load).
+func (st *state) lightestFirst() []int32 {
+	var maxLoad int64
+	active := 0
+	for _, l := range st.load {
+		if l > 0 {
+			active++
+			maxLoad = max(maxLoad, l)
 		}
-		js := append([]int32(nil), jobs...)
-		sort.Slice(js, func(a, b int) bool { return js[a] < js[b] })
-		tm := st.timeOf(si)
-		for _, ji := range js {
-			out.Assign(tm, int(ji))
+	}
+	// start[l] is the first output position of load l.
+	start := make([]int, maxLoad+2)
+	for _, l := range st.load {
+		if l > 0 {
+			start[l+1]++
+		}
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	out := make([]int32, active)
+	for si, l := range st.load {
+		if l > 0 {
+			out[start[l]] = int32(si)
+			start[l]++
+		}
+	}
+	return out
+}
+
+// schedule materializes the final assignment: one pre-sized map entry
+// per active slot, each a sorted job list cut from one shared array
+// (capped, so a later Assign to the slot copies instead of overwriting
+// its neighbour). Slots are walked root by root in order, so each slot's
+// time is a running offset rather than a search.
+func (st *state) schedule() *sched.Schedule {
+	active, units := 0, 0
+	for _, l := range st.load {
+		if l > 0 {
+			active++
+			units += int(l)
+		}
+	}
+	out := &sched.Schedule{G: st.in.G, Slots: make(map[int64][]int, active)}
+	ids := make([]int, units)
+	for r, w := range st.roots {
+		for si := st.off[r]; si < st.off[r+1]; si++ {
+			jobs := st.slotJobs[si]
+			if len(jobs) == 0 {
+				continue
+			}
+			js := ids[:len(jobs):len(jobs)]
+			ids = ids[len(jobs):]
+			for k, ji := range jobs {
+				js[k] = int(ji)
+			}
+			slices.Sort(js)
+			out.Slots[w.Start+(si-st.off[r])] = js
 		}
 	}
 	return out

@@ -307,15 +307,23 @@ func TestSolveBytes(t *testing.T) {
 		t.Fatalf("slots %d units %d, want 25 and 6", p.Slots, p.Units)
 	}
 	wide := NewProfile(instance.MustNew(1, []instance.Job{{Processing: 1, Release: 0, Deadline: 1 << 40}}))
-	for _, alg := range []string{"greedy-minimal", "greedy-rtl", "nested95"} {
+	for _, alg := range []string{"greedy-minimal", "greedy-rtl", "nested95", "exact"} {
 		if got := wide.SolveBytes(alg); got > 1<<20 {
 			t.Errorf("%s: %d bytes for one unit job; its work does not follow the window", alg, got)
 		}
 	}
-	for _, alg := range []string{"auto", "comb", "all-open", "exact"} {
+	for _, alg := range []string{"auto", "comb", "all-open"} {
 		if got := wide.SolveBytes(alg); got < 1<<40 {
 			t.Errorf("%s: %d bytes for a 2⁴⁰-slot window", alg, got)
 		}
+	}
+	// exact's general search still decides slot by slot.
+	crossing := NewProfile(instance.MustNew(1, []instance.Job{
+		{Processing: 1, Release: 0, Deadline: 1 << 40},
+		{Processing: 1, Release: 1, Deadline: 1<<40 + 1},
+	}))
+	if got := crossing.SolveBytes("exact"); got < 1<<40 {
+		t.Errorf("exact: %d bytes for crossing 2⁴⁰-slot windows", got)
 	}
 	huge := NewProfile(instance.MustNew(1, []instance.Job{
 		{Processing: math.MaxInt64 / 2, Release: 0, Deadline: math.MaxInt64 / 2},

@@ -86,20 +86,29 @@ type nestedSearch struct {
 	pruned   int64
 }
 
-// greedyCounts minimizes a feasible count vector by decrementing each
-// node while feasibility is preserved; the result is minimal and thus
+// greedyCounts minimizes a feasible count vector node by node: each
+// node's count drops to the smallest value that keeps the vector
+// feasible with the other counts fixed. The result is minimal and thus
 // a 3-approximation, ideal as a branch-and-bound incumbent.
+// Feasibility is monotone in one node's count (more open slots never
+// hurt), so a binary search finds the count the one-slot-at-a-time
+// descent stops at, in O(log L) max flows per node instead of O(L).
 func greedyCounts(t *lamtree.Tree, start []int64, rec *metrics.Recorder) []int64 {
 	counts := make([]int64, len(start))
 	copy(counts, start)
 	for i := range counts {
-		for counts[i] > 0 {
-			counts[i]--
-			if !flowfeas.CheckNodeCountsRec(t, counts, rec) {
-				counts[i]++
-				break
+		// counts[i] = hi is feasible; find the least feasible count.
+		lo, hi := int64(0), counts[i]
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			counts[i] = mid
+			if flowfeas.CheckNodeCountsRec(t, counts, rec) {
+				hi = mid
+			} else {
+				lo = mid + 1
 			}
 		}
+		counts[i] = hi
 	}
 	return counts
 }
@@ -119,8 +128,17 @@ func (s *nestedSearch) dfs(k int, sum int64) {
 	i := s.order[k]
 	n := &s.t.Nodes[i]
 	// Try larger counts first: feasible completions are found sooner,
-	// and the incumbent then prunes small-count dead ends.
-	for c := n.L; c >= 0; c-- {
+	// and the incumbent then prunes small-count dead ends. The counts
+	// at or above bestSum−sum are pruned by the incumbent before any
+	// of them could lower it, so they are counted in one step rather
+	// than walked: the loop costs O(bestSum), not O(L), on long windows.
+	c := n.L
+	if skip := min(c-(s.bestSum-sum)+1, c+1); skip > 0 {
+		s.expanded += skip
+		s.pruned += skip
+		c -= skip
+	}
+	for ; c >= 0; c-- {
 		s.counts[i] = c
 		newSum := sum + c
 		s.expanded++

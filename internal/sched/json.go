@@ -26,6 +26,14 @@ type fileSlot struct {
 // slot, and "slots":null for an empty schedule. The bytes are exactly
 // json.Marshal of the file format, written without reflection.
 func (s *Schedule) AppendJSON(b []byte) []byte {
+	return s.AppendJSONRelabeled(b, nil)
+}
+
+// AppendJSONRelabeled appends the bytes of s.Relabel(ids).AppendJSON(b)
+// without building the relabeled copy: every job ID i is written as
+// ids[i], and each slot's IDs are sorted after mapping. A nil ids
+// writes the IDs as they are.
+func (s *Schedule) AppendJSONRelabeled(b []byte, ids []int) []byte {
 	b = append(b, `{"g":`...)
 	b = strconv.AppendInt(b, s.G, 10)
 	active := s.ActiveSlots()
@@ -49,6 +57,11 @@ func (s *Schedule) AppendJSON(b []byte) []byte {
 		b = strconv.AppendInt(b, t, 10)
 		b = append(b, `,"jobs":[`...)
 		jobs = append(jobs[:0], s.Slots[t]...)
+		if ids != nil {
+			for k, id := range jobs {
+				jobs[k] = ids[id]
+			}
+		}
 		slices.Sort(jobs)
 		for k, id := range jobs {
 			if k > 0 {

@@ -91,3 +91,31 @@ func TestAppendJSONMatchesReflection(t *testing.T) {
 		t.Fatalf("empty schedule: %s", got)
 	}
 }
+
+// TestAppendJSONRelabeledMatchesRelabel: encoding through a relabeling
+// writes the bytes of encoding the relabeled copy, for random
+// schedules under random permutations, and nil ids is AppendJSON.
+func TestAppendJSONRelabeledMatchesRelabel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(50)
+		s := New(1 + rng.Int63n(8))
+		if trial > 0 {
+			// Few slots, so most hold several jobs whose order matters.
+			for k := rng.Intn(60); k > 0; k-- {
+				s.Assign(rng.Int63n(16)-8, rng.Intn(n))
+			}
+			if trial%7 == 0 {
+				s.Slots[-5] = nil
+			}
+		}
+		ids := rng.Perm(n)
+		want := s.Relabel(ids).AppendJSON([]byte("x"))
+		if got := s.AppendJSONRelabeled([]byte("x"), ids); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d:\n got %s\nwant %s", trial, got, want)
+		}
+		if got, want := s.AppendJSONRelabeled(nil, nil), s.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: nil ids\n got %s\nwant %s", trial, got, want)
+		}
+	}
+}

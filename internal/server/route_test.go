@@ -201,6 +201,7 @@ func TestMemGateAdmitsFeasibleShapes(t *testing.T) {
 		`{"instance":` + wideWindowInstance + `,"algorithm":"greedy-minimal"}`,
 		`{"instance":` + wideWindowInstance + `,"algorithm":"greedy-rtl"}`,
 		`{"instance":` + wideWindowInstance + `,"algorithm":"nested95"}`,
+		`{"instance":` + wideWindowInstance + `,"algorithm":"exact"}`,
 	} {
 		if resp, data := postSolve(t, ts, body); resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: status %d: %s", body, resp.StatusCode, data)

@@ -515,6 +515,10 @@ type plan struct {
 	// (detached flights outlive the request that opened them). A job's
 	// event travels with the plan and is emitted at its terminal state.
 	ev *obs.Event
+	// relabel maps the result schedule's job IDs back to the request's
+	// when the solve ran on the canonically sorted instance (a cached
+	// or warm result); nil when the IDs are already the request's.
+	relabel []int
 }
 
 // newPlan starts a request: it resolves and echoes the request id and
@@ -735,7 +739,51 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.ev.HTTPStatus = http.StatusOK
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeSolveResponse(w, out)
+}
+
+// writeSolveResponse writes a 200 with the body writeJSON would write,
+// built by appendSolveResponse.
+func (s *Server) writeSolveResponse(w http.ResponseWriter, out *SolveResponse) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	body, err := appendSolveResponse(make([]byte, 0, 1024+len(out.Schedule)), out)
+	if err == nil {
+		_, err = w.Write(body)
+	}
+	if err != nil {
+		s.log.Error("encode response", "err", err)
+	}
+}
+
+// appendSolveResponse appends json.Encoder's encoding of out to b
+// without letting encoding/json re-scan the schedule, which is already
+// compact JSON: it encodes the envelope without the schedule and the
+// trace and splices both back in, in field order (they are the last two
+// fields). The trace is marshalled on its own, HTML-escaped as the
+// encoder would.
+func appendSolveResponse(b []byte, out *SolveResponse) ([]byte, error) {
+	env := *out
+	env.Schedule, env.Trace = nil, nil
+	buf := bytes.NewBuffer(b)
+	if err := json.NewEncoder(buf).Encode(&env); err != nil {
+		return nil, err
+	}
+	b = buf.Bytes()
+	b = b[:len(b)-len("}\n")]
+	if len(out.Schedule) > 0 {
+		b = append(b, `,"schedule":`...)
+		b = append(b, out.Schedule...)
+	}
+	if out.Trace != nil {
+		tb, err := json.Marshal(out.Trace)
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, `,"trace":`...)
+		b = append(b, tb...)
+	}
+	return append(b, "}\n"...), nil
 }
 
 // solveOutcome is the solve cache's value: the shared result plus the
@@ -835,8 +883,8 @@ func (s *Server) tryWarmSolve(ctx context.Context, canonIn *instance.Instance, p
 // executeSolve runs one solve through the shared path: registry
 // accounting, the canonicalization-keyed cache (bypassed for traced
 // solves, whose spans belong to a single request), near-miss warm
-// starts, and schedule relabeling for results solved in canonical job
-// order. It returns the result, whether it was served from cache, and
+// starts, and the relabeling (p.relabel) of results solved in canonical
+// job order. It returns the result, whether it was served from cache, and
 // the warm-start kind ("" for a cold solve).
 func (s *Server) executeSolve(ctx context.Context, p *plan) (*activetime.Result, bool, string, error) {
 	useCache := s.cache != nil && p.tr == nil
@@ -978,15 +1026,12 @@ func (s *Server) executeSolve(ctx context.Context, p *plan) (*activetime.Result,
 	if err != nil || out == nil {
 		return nil, cached, "", err
 	}
-	res := out.res
-	if p.req.IncludeSchedule && (useCache || out.warmKind != "") {
-		// The cached Result is shared across requests: relabel into
-		// a copy, never in place.
-		relabeled := *res
-		relabeled.Schedule = res.Schedule.Relabel(canon.Order)
-		res = &relabeled
+	if useCache || out.warmKind != "" {
+		// The result is in canonical job order and, when cached, shared
+		// across requests: the encoder maps the IDs back as it writes.
+		p.relabel = canon.Order
 	}
-	return res, cached, out.warmKind, nil
+	return out.res, cached, out.warmKind, nil
 }
 
 // fillEvent stamps the solve's observability fields once the outcome
@@ -1048,7 +1093,7 @@ func (s *Server) buildSolveResponse(p *plan, res *activetime.Result, cached bool
 		Stats:          res.Stats,
 	}
 	if p.req.IncludeSchedule {
-		out.Schedule = res.Schedule.AppendJSON(nil)
+		out.Schedule = res.Schedule.AppendJSONRelabeled(nil, p.relabel)
 	}
 	// Jobs always trace (for their SSE stream); the response carries
 	// the trace only when the client asked for it.

@@ -165,9 +165,10 @@ type gateBody struct {
 }
 
 // memGateBodies are the crash instances on every algorithm that must
-// refuse them under the default cap. The greedy orders and nested95
-// handle the 10⁸-slot window in kilobytes (runs and laminar nodes, not
-// slots), so only the p = 5·10⁷ body is over the cap for them.
+// refuse them under the default cap. The greedy orders, nested95 and
+// exact handle the 10⁸-slot window in kilobytes (runs and laminar
+// nodes, not slots), so only the p = 5·10⁷ body is over the cap for
+// them.
 func memGateBodies() []gateBody {
 	var out []gateBody
 	for _, alg := range activetime.Algorithms() {
@@ -177,7 +178,7 @@ func memGateBodies() []gateBody {
 		}
 		post("p=5e7", hugeWorkInstance)
 		switch alg {
-		case activetime.AlgAuto, activetime.AlgCombinatorial, activetime.AlgAllOpen, activetime.AlgExact:
+		case activetime.AlgAuto, activetime.AlgCombinatorial, activetime.AlgAllOpen:
 			post("d=1e8", wideWindowInstance)
 		}
 	}

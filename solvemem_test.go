@@ -13,14 +13,15 @@ import (
 // per-unit terms), the estimate must be within 2× of the bytes the
 // solve actually allocates. The p = 10⁶ shape runs on the algorithms
 // whose per-unit work differs most (LP and comb placement, the greedy
-// orders' final slot network, all-open's slot and unit terms together).
+// orders' final slot network, all-open's slot and unit terms together,
+// exact's count-vector schedule).
 func TestSolveBytesTracksAllocation(t *testing.T) {
 	for _, tc := range []struct {
 		p, d int64
 		algs []Algorithm
 	}{
 		{1, 1_000_000, Algorithms()},
-		{1_000_000, 1_000_000, []Algorithm{AlgAuto, AlgNested95, AlgGreedyMinimal, AlgAllOpen}},
+		{1_000_000, 1_000_000, []Algorithm{AlgAuto, AlgCombinatorial, AlgNested95, AlgGreedyMinimal, AlgAllOpen, AlgExact}},
 	} {
 		in, err := NewInstance(1, []Job{{Processing: tc.p, Release: 0, Deadline: tc.d}})
 		if err != nil {
