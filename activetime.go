@@ -150,8 +150,8 @@ type Result struct {
 	// nil when an algorithm was requested explicitly.
 	Route *RouteDecision
 	// Warm is retained solver state for warm-starting later near-miss
-	// requests; only set when SolveOptions.CaptureWarm was requested
-	// and the algorithm supports it (AlgNested95, AlgCombinatorial).
+	// requests; only set by AlgCombinatorial when
+	// SolveOptions.CaptureWarm was requested.
 	Warm *WarmState
 }
 
@@ -181,9 +181,10 @@ func SolveTraced(in *Instance, alg Algorithm, tr *Tracer) (*Result, error) {
 
 // SolveTracedCtx combines SolveCtx and SolveTraced. For AlgNested95,
 // AlgCombinatorial and both greedy orders cancellation is cooperative
-// throughout the solve; AlgAllOpen and AlgExact check ctx before
-// starting (the first is one flow, the second intended for small
-// instances).
+// throughout the solve, and AlgExact on general windows checks ctx
+// once per branch-and-bound node. AlgAllOpen (one flow) and AlgExact
+// on nested windows (intended for small instances) check ctx before
+// starting.
 func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -235,7 +236,7 @@ func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer
 		return wrap(alg, res.Schedule), nil
 	case AlgExact:
 		sp := tr.StartSpan("solve", trace.String("algorithm", string(alg)))
-		s, err := exactSchedule(in, sp)
+		s, err := exactSchedule(ctx, in, sp)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -253,10 +254,10 @@ func wrap(alg Algorithm, s *Schedule) *Result {
 // exactSchedule computes an optimal schedule via the exact solvers,
 // dispatching to the far faster per-node-count search (with component
 // decomposition) when the windows are nested. B&B spans are recorded
-// under sp (nil disables tracing).
-func exactSchedule(in *Instance, sp *trace.Span) (*Schedule, error) {
+// under sp (nil disables tracing); the general search honors ctx.
+func exactSchedule(ctx context.Context, in *Instance, sp *trace.Span) (*Schedule, error) {
 	if !in.Nested() {
-		_, slots, err := exact.SolveGeneralTrace(in, nil, sp)
+		_, slots, err := exact.SolveGeneralTrace(ctx, in, nil, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -316,9 +317,10 @@ type SolveOptions struct {
 	// sub-solves); export them with Tracer.WriteChromeTrace. Nil
 	// disables tracing.
 	Trace *Tracer
-	// CaptureWarm retains the solver's final state on Result.Warm so
-	// a cache can warm-start later near-miss requests (raised g, job
-	// supersets). Supported by AlgNested95 and AlgCombinatorial.
+	// CaptureWarm retains the combinatorial solver's final state on
+	// Result.Warm so a cache can warm-start later near-miss requests
+	// (raised g, job supersets) through SolveWarmCtx. Only
+	// AlgCombinatorial honors it.
 	CaptureWarm bool
 }
 
@@ -331,13 +333,12 @@ func SolveNested95(in *Instance, opts SolveOptions) (*Result, error) {
 // SolveCtx for the cancellation granularity.
 func SolveNested95Ctx(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
 	s, rep, err := core.SolveContext(ctx, in, core.Options{
-		ExactLP:     opts.ExactLP,
-		Minimalize:  opts.Minimalize,
-		Compact:     opts.Compact,
-		Workers:     opts.Workers,
-		Metrics:     opts.Metrics,
-		Trace:       opts.Trace,
-		CaptureWarm: opts.CaptureWarm,
+		ExactLP:    opts.ExactLP,
+		Minimalize: opts.Minimalize,
+		Compact:    opts.Compact,
+		Workers:    opts.Workers,
+		Metrics:    opts.Metrics,
+		Trace:      opts.Trace,
 	})
 	if err != nil {
 		return nil, err
@@ -349,7 +350,6 @@ func SolveNested95Ctx(ctx context.Context, in *Instance, opts SolveOptions) (*Re
 		LPLowerBound:   rep.LPValue,
 		CertifiedRatio: rep.CertifiedRatio,
 		Stats:          rep.Stats,
-		Warm:           warmStateFor(AlgNested95, in, rep.Warm, rep.RoundedSlots, nil, s.NumActive()),
 	}, nil
 }
 

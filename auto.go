@@ -242,6 +242,6 @@ func SolveCombinatorialCtx(ctx context.Context, in *Instance, opts SolveOptions)
 		Schedule:    s,
 		ActiveSlots: rep.ActiveSlots,
 		Stats:       rep.Stats,
-		Warm:        warmStateFor(AlgCombinatorial, in, nil, 0, rep.Warm, rep.ActiveSlots),
+		Warm:        warmStateFor(in, rep),
 	}, nil
 }

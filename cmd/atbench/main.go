@@ -208,14 +208,12 @@ func families() []family {
 		// a small factor across them (a slot-by-slot scan is ~200× apart).
 		general("greedy-general", 8, 3, 1, 505),
 		general("greedy-general-x16", 8, 3, 16, 505),
-		// Delta families time the warm-start resume paths against cold
-		// re-solves of the same near-miss (see benchDeltaFamily):
-		// raised g on the LP and combinatorial paths, and a 10% nested
-		// job growth on the combinatorial path.
+		// Delta families time the combinatorial warm-start resumes
+		// against cold re-solves of the same near-miss (see
+		// benchDeltaFamily): raised g, and a 10% nested job growth.
 		// The grow-100k base is a slacker forest (3 spare units per node
 		// vs the benchmark forest's 2): 10% job growth must stay
 		// feasible on top of the frozen base placement.
-		{name: "delta-raise-g", delta: "raise_g", instances: nestedLarge.instances},
 		{name: "delta-raise-g-100k", algorithm: "comb", delta: "raise_g", instances: forest100k},
 		{name: "delta-grow-10pct", algorithm: "comb", delta: "grow10", instances: nestedLarge.instances},
 		{name: "delta-grow-10pct-100k", algorithm: "comb", delta: "grow10", instances: []*instance.Instance{
@@ -361,14 +359,14 @@ func deriveDelta(kind string, base *instance.Instance) (*instance.Instance, erro
 	}
 }
 
-// benchDeltaFamily measures the warm-start resume paths. Outside the
-// timed region it solves each canonical base instance cold with warm
-// capture, derives the near-miss delta, and classifies it; the timed
-// op is SolveWarmCtx resuming the retained state (immutable, so every
-// repetition resumes the same capture). ColdNsPerOp measures cold
-// solves of the same delta instances for the warm-vs-cold comparison.
-// Any warm failure aborts the family: the resume paths must never
-// silently fall back under a frozen benchmark delta.
+// benchDeltaFamily measures the combinatorial warm-start resumes.
+// Outside the timed region it solves each canonical base instance cold
+// with warm capture, derives the near-miss delta, and classifies it;
+// the timed op is SolveWarmCtx resuming the retained state (immutable,
+// so every repetition resumes the same capture). ColdNsPerOp measures
+// cold solves of the same delta instances for the warm-vs-cold
+// comparison. Any warm failure aborts the family: the resume paths
+// must never silently fall back under a frozen benchmark delta.
 func benchDeltaFamily(f family, runs int, budget time.Duration) (FamilyResult, error) {
 	fr := FamilyResult{Name: f.name, Algorithm: f.algorithm, Delta: f.delta, Instances: len(f.instances)}
 	type resume struct {
@@ -379,14 +377,7 @@ func benchDeltaFamily(f family, runs int, budget time.Duration) (FamilyResult, e
 	prep := make([]resume, 0, len(f.instances))
 	for _, raw := range f.instances {
 		base := raw.Permute(solvecache.CanonicalOrder(raw))
-		opts := activetime.SolveOptions{Workers: 1, CaptureWarm: true}
-		var res *activetime.Result
-		var err error
-		if f.algorithm == "comb" {
-			res, err = activetime.SolveCombinatorial(base, opts)
-		} else {
-			res, err = activetime.SolveNested95(base, opts)
-		}
+		res, err := activetime.SolveCombinatorial(base, activetime.SolveOptions{CaptureWarm: true})
 		if err != nil {
 			return fr, fmt.Errorf("base solve: %w", err)
 		}
@@ -409,7 +400,7 @@ func benchDeltaFamily(f family, runs int, budget time.Duration) (FamilyResult, e
 	rec := new(metrics.Recorder)
 	for _, p := range prep {
 		if _, err := activetime.SolveWarmCtx(context.Background(), p.in, p.warm, p.d,
-			activetime.SolveOptions{Workers: 1, Metrics: rec}); err != nil {
+			activetime.SolveOptions{Metrics: rec}); err != nil {
 			return fr, fmt.Errorf("warm resume: %w", err)
 		}
 	}
@@ -419,20 +410,14 @@ func benchDeltaFamily(f family, runs int, budget time.Duration) (FamilyResult, e
 	warmOp := func() {
 		for _, p := range prep {
 			if _, err := activetime.SolveWarmCtx(context.Background(), p.in, p.warm, p.d,
-				activetime.SolveOptions{Workers: 1}); err != nil && failed == nil {
+				activetime.SolveOptions{}); err != nil && failed == nil {
 				failed = err
 			}
 		}
 	}
 	coldOp := func() {
 		for _, p := range prep {
-			var err error
-			if f.algorithm == "comb" {
-				_, _, err = comb.SolveContext(context.Background(), p.in, comb.Options{})
-			} else {
-				_, _, err = core.SolveWithOptions(p.in, core.Options{Workers: 1})
-			}
-			if err != nil && failed == nil {
+			if _, _, err := comb.SolveContext(context.Background(), p.in, comb.Options{}); err != nil && failed == nil {
 				failed = err
 			}
 		}

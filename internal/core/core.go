@@ -62,9 +62,6 @@ type Report struct {
 	// Only set on whole-instance reports (SolveWithOptions), not on
 	// per-component ones.
 	Stats *metrics.Stats
-	// Warm is the retained solver state when Options.CaptureWarm was
-	// set; only set on whole-instance reports.
-	Warm *WarmLP
 }
 
 // merge accumulates component reports into a whole-instance report.
@@ -113,10 +110,6 @@ type Options struct {
 	// and "simplex"/"ratsimplex" spans from the LP substrate. Nil
 	// disables tracing at the cost of a nil check per span site.
 	Trace *trace.Tracer
-	// CaptureWarm retains each component's canonicalized tree and
-	// final count vector on Report.Warm so the solve cache can
-	// warm-start later raised-g requests.
-	CaptureWarm bool
 }
 
 // Solve runs the 9/5-approximation on a nested instance and returns a
@@ -166,10 +159,9 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 	defer root.End()
 
 	type compResult struct {
-		s    *sched.Schedule
-		rep  Report
-		warm *WarmComponent
-		err  error
+		s   *sched.Schedule
+		rep Report
+		err error
 	}
 	results := make([]compResult, len(comps))
 	solveOne := func(ci, worker int) {
@@ -184,11 +176,11 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 			trace.Int("worker", int64(worker)),
 			trace.Int("jobs", int64(comps[ci].N())))
 		start := time.Now()
-		s, rep, warm, err := solveComponent(ctx, comps[ci], opts, rec, fsp)
+		s, rep, err := solveComponent(ctx, comps[ci], opts, rec, fsp)
 		rec.ForestSolveNS.Observe(int64(time.Since(start)))
 		rec.ForestsSolved.Inc()
 		fsp.End()
-		results[ci] = compResult{s: s, rep: rep, warm: warm, err: err}
+		results[ci] = compResult{s: s, rep: rep, err: err}
 	}
 
 	workers := opts.Workers
@@ -223,10 +215,6 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 	if err := ctx.Err(); err != nil {
 		return nil, Report{}, err
 	}
-	var warm *WarmLP
-	if opts.CaptureWarm {
-		warm = &WarmLP{G: in.G, Jobs: in.N(), Comps: make([]WarmComponent, len(comps))}
-	}
 	for ci, res := range results {
 		if res.err != nil {
 			return nil, Report{}, fmt.Errorf("core: component %d: %w", ci, res.err)
@@ -237,13 +225,6 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 			}
 		}
 		total.merge(res.rep)
-		if warm != nil {
-			if res.warm == nil {
-				warm = nil // a component skipped capture; drop the snapshot
-			} else {
-				warm.Comps[ci] = *res.warm
-			}
-		}
 	}
 	_, stopValidate := startStage(rec, root, metrics.StageValidate)
 	err := out.Validate(in)
@@ -255,7 +236,6 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 	if total.LPValue > 0 {
 		total.CertifiedRatio = float64(total.ActiveSlots) / total.LPValue
 	}
-	total.Warm = warm
 	total.Stats = rec.Snapshot()
 	return out, total, nil
 }
@@ -275,23 +255,23 @@ func startStage(rec *metrics.Recorder, parent *trace.Span, st metrics.Stage) (*t
 // per-stage spans under the component's forest span fsp. ctx is
 // checked between stages (and inside the LP and flow sub-solvers), so
 // cancellation interrupts a long component solve mid-pipeline.
-func solveComponent(ctx context.Context, in *instance.Instance, opts Options, rec *metrics.Recorder, fsp *trace.Span) (*sched.Schedule, Report, *WarmComponent, error) {
+func solveComponent(ctx context.Context, in *instance.Instance, opts Options, rec *metrics.Recorder, fsp *trace.Span) (*sched.Schedule, Report, error) {
 	rec = metrics.OrNop(rec)
 
 	_, stop := startStage(rec, fsp, metrics.StageTreeBuild)
 	tree, err := lamtree.Build(in)
 	stop()
 	if err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 	_, stop = startStage(rec, fsp, metrics.StageCanonicalize)
 	err = tree.Canonicalize()
 	stop()
 	if err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 
 	// Feasibility gate: everything open must work. The node network is
@@ -308,10 +288,10 @@ func solveComponent(ctx context.Context, in *instance.Instance, opts Options, re
 	ok, err := net.Check(ctx, full, rec)
 	stop()
 	if err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 	if !ok {
-		return nil, Report{}, nil, fmt.Errorf("infeasible instance")
+		return nil, Report{}, fmt.Errorf("infeasible instance")
 	}
 
 	_, stop = startStage(rec, fsp, metrics.StageLPBuild)
@@ -319,7 +299,7 @@ func solveComponent(ctx context.Context, in *instance.Instance, opts Options, re
 	model.SetRecorder(rec)
 	stop()
 	if err := ctx.Err(); err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 
 	lpSpan, stop := startStage(rec, fsp, metrics.StageLPSolve)
@@ -333,10 +313,10 @@ func solveComponent(ctx context.Context, in *instance.Instance, opts Options, re
 	}
 	stop()
 	if err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 	lpValue := sol.Objective
 
@@ -349,7 +329,7 @@ func solveComponent(ctx context.Context, in *instance.Instance, opts Options, re
 	counts := Round(tree, sol, I)
 	stop()
 	if err := ctx.Err(); err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 
 	rep := Report{LPValue: lpValue}
@@ -363,17 +343,17 @@ func solveComponent(ctx context.Context, in *instance.Instance, opts Options, re
 	ok, err = net.Check(ctx, counts, rec)
 	stop()
 	if err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 	if !ok {
 		_, stop = startStage(rec, fsp, metrics.StageRepair)
 		added, ok, err := repair(ctx, tree, net, counts, rec)
 		stop()
 		if err != nil {
-			return nil, Report{}, nil, err
+			return nil, Report{}, err
 		}
 		if !ok {
-			return nil, Report{}, nil, fmt.Errorf("internal: repair failed")
+			return nil, Report{}, fmt.Errorf("internal: repair failed")
 		}
 		rep.Repairs = added
 		rep.RoundedSlots += added
@@ -384,13 +364,13 @@ func solveComponent(ctx context.Context, in *instance.Instance, opts Options, re
 		removed, err := minimalizeCountsNet(ctx, tree, net, counts, rec)
 		stop()
 		if err != nil {
-			return nil, Report{}, nil, err
+			return nil, Report{}, err
 		}
 		rep.Minimalized = removed
 		rep.RoundedSlots -= removed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, Report{}, nil, err
+		return nil, Report{}, err
 	}
 
 	_, stop = startStage(rec, fsp, metrics.StagePlace)
@@ -403,19 +383,15 @@ func solveComponent(ctx context.Context, in *instance.Instance, opts Options, re
 	stop()
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, Report{}, nil, cerr
+			return nil, Report{}, cerr
 		}
-		return nil, Report{}, nil, fmt.Errorf("internal: %w", err)
+		return nil, Report{}, fmt.Errorf("internal: %w", err)
 	}
 	rep.ActiveSlots = s.NumActive()
 	if lpValue > 0 {
 		rep.CertifiedRatio = float64(rep.ActiveSlots) / lpValue
 	}
-	var warm *WarmComponent
-	if opts.CaptureWarm {
-		warm = &WarmComponent{Tree: tree, Counts: counts}
-	}
-	return s, rep, warm, nil
+	return s, rep, nil
 }
 
 // Round is Algorithm 1. Given the transformed LP solution and the

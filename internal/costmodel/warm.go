@@ -10,11 +10,11 @@ const (
 
 // WarmFactor returns the multiplicative discount a warm start of the
 // given kind earns over the cold prediction. A raised-g resume skips
-// the LP / placement work entirely and only re-checks feasibility and
-// re-minimalizes, which the delta benchmark families measure at well
-// over 5× cheaper than cold; a superset resume additionally replays
-// the new jobs, so it keeps a larger share of the cold cost. Unknown
-// kinds (including "") predict at full cold cost.
+// placement and only re-minimalizes; a superset resume additionally
+// replays the new jobs, so it keeps a larger share of the cold cost.
+// Unknown kinds (including "") predict at full cold cost. The factors
+// are more optimistic than the combinatorial resumes' measured
+// 1.3–1.6× (the delta benchmark families, EXPERIMENTS.md E24).
 func WarmFactor(kind string) float64 {
 	switch kind {
 	case WarmKindRaiseG:

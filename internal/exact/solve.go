@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/flowfeas"
@@ -218,20 +219,22 @@ func SolveGeneral(in *instance.Instance) (int64, []int64, error) {
 // counts and max-flow operation counts to rec (nil disables
 // reporting).
 func SolveGeneralRec(in *instance.Instance, rec *metrics.Recorder) (int64, []int64, error) {
-	return SolveGeneralTrace(in, rec, nil)
+	return SolveGeneralTrace(context.Background(), in, rec, nil)
 }
 
-// SolveGeneralTrace is SolveGeneralRec recording a "bb_general" trace
-// span (with expanded/pruned node counts) under sp; a nil span
-// disables tracing.
-func SolveGeneralTrace(in *instance.Instance, rec *metrics.Recorder, sp *trace.Span) (int64, []int64, error) {
+// SolveGeneralTrace is SolveGeneralRec with cooperative cancellation
+// and a "bb_general" trace span (with expanded/pruned node counts)
+// under sp; a nil span disables tracing. ctx is checked once per
+// branch-and-bound node (each node already pays a max flow), and a
+// canceled search returns ctx.Err().
+func SolveGeneralTrace(ctx context.Context, in *instance.Instance, rec *metrics.Recorder, sp *trace.Span) (int64, []int64, error) {
 	bsp := sp.StartChild("bb_general", trace.Int("candidate_slots", int64(len(in.SortedSlots()))))
 	defer bsp.End()
 	slots := in.SortedSlots()
 	if !flowfeas.CheckSlotsRec(in, slots, rec) {
 		return 0, nil, fmt.Errorf("exact: instance infeasible even with all slots open")
 	}
-	s := &generalSearch{in: in, slots: slots, lb: in.LowerBound(), rec: rec}
+	s := &generalSearch{ctx: ctx, in: in, slots: slots, lb: in.LowerBound(), rec: rec}
 	s.open = make([]bool, len(slots))
 	for i := range s.open {
 		s.open[i] = true
@@ -244,6 +247,9 @@ func SolveGeneralTrace(in *instance.Instance, rec *metrics.Recorder, sp *trace.S
 		rec.BBNodesPruned.Add(s.pruned)
 	}
 	bsp.SetAttr(trace.Int("bb_nodes_expanded", s.expanded), trace.Int("bb_nodes_pruned", s.pruned))
+	if s.err != nil {
+		return 0, nil, s.err
+	}
 
 	var out []int64
 	for i, b := range s.best {
@@ -255,6 +261,8 @@ func SolveGeneralTrace(in *instance.Instance, rec *metrics.Recorder, sp *trace.S
 }
 
 type generalSearch struct {
+	ctx      context.Context
+	err      error // ctx's error once the search is canceled
 	in       *instance.Instance
 	slots    []int64
 	open     []bool
@@ -269,8 +277,12 @@ type generalSearch struct {
 // dfs decides slot k. Slots k.. are currently open; closing is tried
 // first so small solutions are found early. After a closing decision
 // the remaining-all-open relaxation is flow-checked (closing more
-// slots never restores feasibility).
+// slots never restores feasibility). A canceled context unwinds the
+// search without expanding further nodes.
 func (s *generalSearch) dfs(k int, opened int64) {
+	if s.err = s.ctx.Err(); s.err != nil {
+		return
+	}
 	s.expanded++
 	if s.bestSum == s.lb {
 		s.pruned++

@@ -71,9 +71,9 @@ func TestRunDeltaWarmStarts(t *testing.T) {
 	cfg.Requests = 80
 	cfg.DistinctInstances = 4
 	cfg.Mix = []MixEntry{{FamilyLaminar, 1}}
-	// Superset resumes are combinatorial-only (LP warm state can only
-	// re-minimalize a raised g), and auto routes these small laminar
-	// instances to nested95 — pin comb so both warm kinds show up.
+	// Only comb retains warm state, and auto solves these small
+	// laminar instances certificate-first, which is never
+	// warm-eligible — pin comb so both warm kinds show up.
 	cfg.Algorithm = "comb"
 	cfg.Delta = true
 	plan, err := BuildPlan(cfg)

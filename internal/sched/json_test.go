@@ -58,15 +58,27 @@ func reflectJSON(t *testing.T, s *Schedule) []byte {
 }
 
 // TestAppendJSONMatchesReflection: the hand-written encoder emits the
-// exact bytes json.Marshal does, for random schedules (negative slots,
-// unsorted job lists and emptied slots included) and the empty one.
+// exact bytes json.Marshal does, for random schedules (negative and
+// large slots, unsorted job lists and emptied slots included) and the
+// empty one.
 func TestAppendJSONMatchesReflection(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
 		s := New(1 + rng.Int63n(1<<40))
 		if trial > 0 {
-			for k := rng.Intn(40); k > 0; k-- {
-				s.Assign(rng.Int63n(1<<20)-1<<19, rng.Intn(1000))
+			// Each job takes distinct slots among eight around a random
+			// origin, so most slots hold several jobs; the units are
+			// assigned in shuffled order, so slot lists arrive unsorted.
+			origin := rng.Int63n(1<<40) - 1<<39
+			var units [][2]int64
+			for _, id := range rng.Perm(1000)[:rng.Intn(12)] {
+				for _, k := range rng.Perm(8)[:1+rng.Intn(8)] {
+					units = append(units, [2]int64{origin + int64(k), int64(id)})
+				}
+			}
+			rng.Shuffle(len(units), func(a, b int) { units[a], units[b] = units[b], units[a] })
+			for _, u := range units {
+				s.Assign(u[0], int(u[1]))
 			}
 			if trial%7 == 0 {
 				s.Slots[-5] = nil

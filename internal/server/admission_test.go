@@ -282,6 +282,29 @@ func TestSolveTimeout503(t *testing.T) {
 	waitUntil(t, 5*time.Second, func() bool { return s.reg.InFlight() == 0 }, "solve goroutine exit")
 }
 
+// TestExactTimeoutFreesSlot: the general-window exact search honors the
+// request deadline. Two unit jobs over a 10⁶-slot horizon pass the
+// memory gate, but the branch and bound would run for minutes; with
+// timeout_ms it must answer 503 promptly, and the solve itself (which
+// runs in a cache flight detached from the request) must stop and
+// release its in-flight slot.
+func TestExactTimeoutFreesSlot(t *testing.T) {
+	s, ts, _ := testServerCfg(t, DefaultConfig(1))
+	body := `{"instance":{"g":1,"jobs":[{"p":1,"r":0,"d":600000},{"p":1,"r":2,"d":1000000}]},"algorithm":"exact","timeout_ms":200}`
+	start := time.Now()
+	resp, data := postSolve(t, ts, body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", resp.StatusCode, data)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("503 after %v, want within a few seconds", took)
+	}
+	waitUntil(t, 5*time.Second, func() bool { return s.reg.InFlight() == 0 }, "exact solve exit")
+	if got := s.reg.InFlightRequests(); got != 0 {
+		t.Fatalf("InFlightRequests = %d, want 0", got)
+	}
+}
+
 // TestSolveTimeoutOverflowKeepsServerCap: a timeout_ms so large that
 // the ms→Duration conversion would overflow used to turn the computed
 // timeout negative and silently disable the server's -solve-timeout

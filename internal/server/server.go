@@ -810,14 +810,10 @@ func (o *solveOutcome) StripWarm()       { o.warm.Store(nil) }
 
 // warmEligible reports whether a solve may participate in warm
 // starts: the cache must exist with a warm budget, and the algorithm
-// must retain resumable state (nested95's flow network, the
-// combinatorial solver's activation state). Compact repacking
-// invalidates the retained placement, so compact solves stay cold.
+// must be the combinatorial solver, the only one that retains
+// resumable state (its activation forest).
 func (s *Server) warmEligible(p *plan) bool {
-	if s.cache == nil || s.cfg.CacheWarmBytes <= 0 || p.req.Compact {
-		return false
-	}
-	return p.alg == activetime.AlgNested95 || p.alg == activetime.AlgCombinatorial
+	return s.cache != nil && s.cfg.CacheWarmBytes > 0 && p.alg == activetime.AlgCombinatorial
 }
 
 // tryWarmSolve scans structurally similar cache entries for retained
@@ -847,7 +843,6 @@ func (s *Server) tryWarmSolve(ctx context.Context, canonIn *instance.Instance, p
 		}
 		start := time.Now()
 		res, err := activetime.SolveWarmCtx(ctx, canonIn, w, d, activetime.SolveOptions{
-			Workers:     p.workers,
 			Trace:       tr,
 			CaptureWarm: capture,
 		})
@@ -932,12 +927,11 @@ func (s *Server) executeSolve(ctx context.Context, p *plan) (*activetime.Result,
 		switch p.alg {
 		case activetime.AlgNested95:
 			res, err = activetime.SolveNested95Ctx(ctx, solveIn, activetime.SolveOptions{
-				ExactLP:     p.req.ExactLP,
-				Minimalize:  p.req.Minimalize,
-				Compact:     p.req.Compact,
-				Workers:     p.workers,
-				Trace:       tr,
-				CaptureWarm: capture,
+				ExactLP:    p.req.ExactLP,
+				Minimalize: p.req.Minimalize,
+				Compact:    p.req.Compact,
+				Workers:    p.workers,
+				Trace:      tr,
 			})
 		case activetime.AlgCombinatorial:
 			res, err = activetime.SolveCombinatorialCtx(ctx, solveIn, activetime.SolveOptions{

@@ -47,41 +47,54 @@ func solveOK(t *testing.T, ts *httptest.Server, body string) SolveResponse {
 }
 
 func TestWarmStartRaiseG(t *testing.T) {
-	for _, alg := range []string{"nested95", "comb"} {
-		t.Run(alg, func(t *testing.T) {
-			s, ts := warmTestServer(t)
-			base := solveOK(t, ts, `{"instance":`+warmInstance(2)+`,"algorithm":"`+alg+`"}`)
-			if base.WarmStart {
-				t.Fatal("cold base reported warm_start")
+	t.Run("comb", func(t *testing.T) {
+		s, ts := warmTestServer(t)
+		base := solveOK(t, ts, `{"instance":`+warmInstance(2)+`,"algorithm":"comb"}`)
+		if base.WarmStart {
+			t.Fatal("cold base reported warm_start")
+		}
+		warm := solveOK(t, ts, `{"instance":`+warmInstance(4)+`,"algorithm":"comb","include_schedule":true}`)
+		if !warm.WarmStart || warm.WarmKind != "raise_g" {
+			t.Fatalf("raised-g solve not warm: %+v", warm)
+		}
+		if warm.ActiveSlots > base.ActiveSlots {
+			t.Fatalf("warm %d > base %d active slots", warm.ActiveSlots, base.ActiveSlots)
+		}
+		if rg, ss := s.Registry().WarmStarts(); rg != 1 || ss != 0 {
+			t.Fatalf("WarmStarts = (%d, %d), want (1, 0)", rg, ss)
+		}
+		if fb := s.Registry().WarmFallbacks(); fb != 0 {
+			t.Fatalf("WarmFallbacks = %d, want 0", fb)
+		}
+		// The wide event carries the warm fields.
+		page := s.Obs().Events(obs.EventFilter{})
+		var sawWarm bool
+		for _, ev := range page.Events {
+			if ev.WarmStart && ev.WarmKind == "raise_g" && !ev.WarmFallback {
+				sawWarm = true
 			}
-			warm := solveOK(t, ts, `{"instance":`+warmInstance(4)+`,"algorithm":"`+alg+`","include_schedule":true}`)
-			if !warm.WarmStart || warm.WarmKind != "raise_g" {
-				t.Fatalf("raised-g solve not warm: %+v", warm)
-			}
-			if warm.ActiveSlots > base.ActiveSlots {
-				t.Fatalf("warm %d > base %d active slots", warm.ActiveSlots, base.ActiveSlots)
-			}
-			if alg == "nested95" && warm.LPBound != 0 {
-				t.Fatalf("warm result claims an LP bound %g for the wrong g", warm.LPBound)
-			}
-			if rg, ss := s.Registry().WarmStarts(); rg != 1 || ss != 0 {
-				t.Fatalf("WarmStarts = (%d, %d), want (1, 0)", rg, ss)
-			}
-			if fb := s.Registry().WarmFallbacks(); fb != 0 {
-				t.Fatalf("WarmFallbacks = %d, want 0", fb)
-			}
-			// The wide event carries the warm fields.
-			page := s.Obs().Events(obs.EventFilter{})
-			var sawWarm bool
-			for _, ev := range page.Events {
-				if ev.WarmStart && ev.WarmKind == "raise_g" && !ev.WarmFallback {
-					sawWarm = true
-				}
-			}
-			if !sawWarm {
-				t.Fatalf("no warm wide event among %d events", page.Returned)
-			}
-		})
+		}
+		if !sawWarm {
+			t.Fatalf("no warm wide event among %d events", page.Returned)
+		}
+	})
+}
+
+// TestNested95NearMissColdWithCertificate pins that the 9/5 pipeline
+// never resumes: a raised-g near-miss of an explicit nested95 base
+// solves cold and carries its strengthened-LP certificate.
+func TestNested95NearMissColdWithCertificate(t *testing.T) {
+	s, ts := warmTestServer(t)
+	solveOK(t, ts, `{"instance":`+warmInstance(2)+`,"algorithm":"nested95"}`)
+	near := solveOK(t, ts, `{"instance":`+warmInstance(4)+`,"algorithm":"nested95"}`)
+	if near.WarmStart || near.WarmKind != "" || near.Cached {
+		t.Fatalf("raised-g nested95 solve not cold: %+v", near)
+	}
+	if near.LPBound <= 0 || near.CertifiedRatio <= 0 {
+		t.Fatalf("nested95 response lacks lp_bound/certified_ratio: %+v", near)
+	}
+	if rg, ss := s.Registry().WarmStarts(); rg != 0 || ss != 0 {
+		t.Fatalf("WarmStarts = (%d, %d), want zeros", rg, ss)
 	}
 }
 
@@ -139,7 +152,7 @@ func TestWarmFallbackReplacesStaleState(t *testing.T) {
 		t.Fatal("base entry retains no warm state")
 	}
 	bad := *out.warm.Load()
-	bad.Bound = 0
+	bad.ActiveSlots = 0
 	out.warm.Store(&bad)
 
 	first := solveOK(t, ts, `{"instance":`+warmInstance(3)+`,"algorithm":"comb"}`)

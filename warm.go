@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/comb"
-	"repro/internal/core"
 	"repro/internal/instance"
 )
 
@@ -23,7 +22,7 @@ const (
 	WarmRaiseG WarmKind = "raise_g"
 	// WarmSuperset: same g, the base jobs plus new jobs whose windows
 	// nest inside the cached laminar forest. Only the new jobs are
-	// replayed (combinatorial path only).
+	// replayed.
 	WarmSuperset WarmKind = "superset"
 )
 
@@ -40,38 +39,28 @@ type Delta struct {
 	NewJobs []int
 }
 
-// Warm-start errors. Both mean "solve cold"; ErrWarmMismatch
-// additionally indicates retained state that should be dropped.
-var (
-	// ErrWarmUnsupported: the delta kind cannot be resumed by the
-	// cached state's algorithm (e.g. a superset against LP state).
-	ErrWarmUnsupported = errors.New("activetime: warm start unsupported for this delta")
-	// ErrWarmMismatch: the retained state does not fit the instance.
-	ErrWarmMismatch = errors.New("activetime: warm state mismatch")
-)
+// ErrWarmMismatch reports that retained warm state cannot be resumed
+// for a delta (unclassified, or not fitting the instance); callers
+// solve cold and drop the state.
+var ErrWarmMismatch = errors.New("activetime: warm state mismatch")
 
-// WarmState is retained solver state from a finished solve, stored on
-// cache entries so near-miss requests can resume instead of solving
-// cold. It is immutable after capture: resumes deep-copy the mutable
-// parts, so one state can warm any number of concurrent requests.
+// WarmState is retained solver state from a finished combinatorial
+// solve, stored on cache entries so near-miss requests can resume
+// instead of solving cold. It is immutable after capture: resumes
+// deep-copy the mutable parts, so one state can warm any number of
+// concurrent requests.
 type WarmState struct {
-	// Algorithm that produced (and can resume) the state.
-	Algorithm Algorithm
 	// Base is the canonical instance the state was solved for; deltas
 	// are classified against it.
 	Base *Instance
-	// ActiveSlots is the base solve's objective.
+	// ActiveSlots is the base solve's objective. It is also the
+	// monotone acceptance bound: a raised-g resume must achieve at most
+	// ActiveSlots, a superset resume at most ActiveSlots plus the new
+	// jobs' total processing, because resumes start from exactly the
+	// base placement and only ever close slots beyond it. A violation
+	// means corrupted state, not a hard instance.
 	ActiveSlots int64
-	// Bound is the monotone acceptance bound: a raised-g resume must
-	// achieve at most Bound active slots, a superset resume at most
-	// Bound plus the new jobs' total processing. For the combinatorial
-	// path this is the base objective (resume starts from exactly the
-	// base placement and only ever closes slots); for the LP path it is
-	// the retained count-vector total (the resume re-minimalizes that
-	// vector). A violation means corrupted state, not a hard instance.
-	Bound int64
 
-	lp *core.WarmLP
 	cb *comb.WarmState
 }
 
@@ -81,14 +70,7 @@ func (w *WarmState) SizeBytes() int64 {
 	if w == nil {
 		return 0
 	}
-	b := int64(96) + int64(w.Base.N())*32
-	if w.lp != nil {
-		b += w.lp.SizeBytes()
-	}
-	if w.cb != nil {
-		b += w.cb.SizeBytes()
-	}
-	return b
+	return int64(96) + int64(w.Base.N())*32 + w.cb.SizeBytes()
 }
 
 // jobLess is the canonical (release, deadline, processing) order used
@@ -155,132 +137,74 @@ func ClassifyDelta(base, delta *Instance) Delta {
 	return Delta{}
 }
 
-// warmErr maps solver-level mismatch sentinels onto the root one so
-// callers can errors.Is against ErrWarmMismatch alone.
+// warmErr maps comb's mismatch sentinel onto the root one so callers
+// can errors.Is against ErrWarmMismatch alone.
 func warmErr(err error) error {
-	if errors.Is(err, comb.ErrWarmMismatch) || errors.Is(err, core.ErrWarmMismatch) {
+	if errors.Is(err, comb.ErrWarmMismatch) {
 		return fmt.Errorf("%w: %v", ErrWarmMismatch, err)
 	}
 	return err
 }
 
-// SolveWarmCtx resumes retained warm state for a classified near-miss
-// delta instead of solving cold. The resumed schedule is validated
-// in full and checked against the monotone bound recorded at capture
-// time (see WarmState.Bound); any failure returns an error and the
-// caller falls back to a cold solve. The result carries no
-// LPLowerBound / CertifiedRatio — the old LP optimum is not a bound
-// for the delta instance.
+// SolveWarmCtx resumes retained combinatorial state for a classified
+// near-miss delta instead of solving cold: comb.ResumeRaiseG for a
+// raised g, comb.ResumeSuperset for nested job growth. The resumed
+// schedule is validated in full and checked against the monotone bound
+// recorded at capture time (see WarmState.ActiveSlots); any failure
+// returns an error and the caller falls back to a cold solve.
 func SolveWarmCtx(ctx context.Context, in *Instance, w *WarmState, d Delta, opts SolveOptions) (*Result, error) {
-	if w == nil || d.Kind == WarmNone {
-		return nil, ErrWarmUnsupported
+	if w == nil || w.cb == nil {
+		return nil, fmt.Errorf("%w: no retained state", ErrWarmMismatch)
 	}
-	var bound int64
+	bound := w.ActiveSlots
+	copts := comb.Options{
+		Metrics:     opts.Metrics,
+		Trace:       opts.Trace,
+		CaptureWarm: opts.CaptureWarm,
+	}
+	var (
+		s   *Schedule
+		rep *comb.Report
+		err error
+	)
 	switch d.Kind {
 	case WarmRaiseG:
-		bound = w.Bound
+		s, rep, err = comb.ResumeRaiseG(ctx, in, w.cb, copts)
 	case WarmSuperset:
-		bound = w.Bound
 		for _, ji := range d.NewJobs {
 			if ji < 0 || ji >= in.N() {
 				return nil, fmt.Errorf("%w: new-job index %d out of range", ErrWarmMismatch, ji)
 			}
 			bound += in.Jobs[ji].Processing
 		}
+		s, rep, err = comb.ResumeSuperset(ctx, in, w.cb, d.Mapping, d.NewJobs, copts)
 	default:
-		return nil, ErrWarmUnsupported
+		return nil, fmt.Errorf("%w: delta kind %q", ErrWarmMismatch, d.Kind)
 	}
-
-	var (
-		s    *Schedule
-		next *WarmState
-		err  error
-		res  = &Result{Algorithm: w.Algorithm}
-	)
-	switch {
-	case w.Algorithm == AlgNested95 && w.lp != nil:
-		if d.Kind != WarmRaiseG {
-			// The LP resume replays count vectors, not jobs; supersets
-			// need the combinatorial path.
-			return nil, ErrWarmUnsupported
-		}
-		var rep core.Report
-		var nlp *core.WarmLP
-		s, rep, nlp, err = core.SolveWarm(ctx, in, w.lp, core.Options{
-			Metrics:     opts.Metrics,
-			Trace:       opts.Trace,
-			CaptureWarm: opts.CaptureWarm,
-		})
-		if err != nil {
-			return nil, warmErr(err)
-		}
-		res.Stats = rep.Stats
-		if nlp != nil {
-			next = &WarmState{
-				Algorithm:   AlgNested95,
-				Base:        in,
-				ActiveSlots: s.NumActive(),
-				Bound:       rep.RoundedSlots,
-				lp:          nlp,
-			}
-		}
-	case w.Algorithm == AlgCombinatorial && w.cb != nil:
-		var rep *comb.Report
-		copts := comb.Options{
-			Metrics:     opts.Metrics,
-			Trace:       opts.Trace,
-			CaptureWarm: opts.CaptureWarm,
-		}
-		switch d.Kind {
-		case WarmRaiseG:
-			s, rep, err = comb.ResumeRaiseG(ctx, in, w.cb, copts)
-		case WarmSuperset:
-			s, rep, err = comb.ResumeSuperset(ctx, in, w.cb, d.Mapping, d.NewJobs, copts)
-		}
-		if err != nil {
-			return nil, warmErr(err)
-		}
-		res.Stats = rep.Stats
-		if rep.Warm != nil {
-			next = &WarmState{
-				Algorithm:   AlgCombinatorial,
-				Base:        in,
-				ActiveSlots: rep.ActiveSlots,
-				Bound:       rep.ActiveSlots,
-				cb:          rep.Warm,
-			}
-		}
-	default:
-		return nil, ErrWarmUnsupported
+	if err != nil {
+		return nil, warmErr(err)
 	}
-
-	res.Schedule = s
-	res.ActiveSlots = s.NumActive()
-	if res.ActiveSlots > bound {
-		// The warm paths only ever deactivate / minimalize beyond the
-		// retained placement, so exceeding the bound means the retained
-		// state is corrupt — never that the instance is hard.
+	if rep.ActiveSlots > bound {
+		// The resumes only ever deactivate beyond the retained
+		// placement, so exceeding the bound means the retained state is
+		// corrupt — never that the instance is hard.
 		return nil, fmt.Errorf("%w: resumed objective %d exceeds monotone bound %d",
-			ErrWarmMismatch, res.ActiveSlots, bound)
+			ErrWarmMismatch, rep.ActiveSlots, bound)
 	}
-	res.Warm = next
-	return res, nil
+	return &Result{
+		Algorithm:   AlgCombinatorial,
+		Schedule:    s,
+		ActiveSlots: rep.ActiveSlots,
+		Stats:       rep.Stats,
+		Warm:        warmStateFor(in, rep),
+	}, nil
 }
 
-// warmStateFor assembles the public WarmState from a solver-level
-// capture (nil when nothing was captured).
-func warmStateFor(alg Algorithm, in *instance.Instance, lp *core.WarmLP, lpBound int64, cb *comb.WarmState, active int64) *WarmState {
-	switch alg {
-	case AlgNested95:
-		if lp == nil {
-			return nil
-		}
-		return &WarmState{Algorithm: alg, Base: in, ActiveSlots: active, Bound: lpBound, lp: lp}
-	case AlgCombinatorial:
-		if cb == nil {
-			return nil
-		}
-		return &WarmState{Algorithm: alg, Base: in, ActiveSlots: active, Bound: active, cb: cb}
+// warmStateFor assembles the public WarmState from comb's capture (nil
+// when nothing was captured).
+func warmStateFor(in *instance.Instance, rep *comb.Report) *WarmState {
+	if rep.Warm == nil {
+		return nil
 	}
-	return nil
+	return &WarmState{Base: in, ActiveSlots: rep.ActiveSlots, cb: rep.Warm}
 }

@@ -68,68 +68,65 @@ func TestClassifyDelta(t *testing.T) {
 	}
 }
 
-// TestSolveWarmCtxEndToEnd drives the full library-level warm path for
-// both algorithms on a fixed instance.
+// TestSolveWarmCtxEndToEnd drives the full library-level warm path on
+// a fixed instance.
 func TestSolveWarmCtxEndToEnd(t *testing.T) {
 	in := canonical(gen.NestedForest(3, 3, 2, 2, 2))
-	for _, alg := range []Algorithm{AlgNested95, AlgCombinatorial} {
-		var base *Result
-		var err error
-		if alg == AlgNested95 {
-			base, err = SolveNested95Ctx(context.Background(), in, SolveOptions{Minimalize: true, CaptureWarm: true})
-		} else {
-			base, err = SolveCombinatorialCtx(context.Background(), in, SolveOptions{CaptureWarm: true})
-		}
-		if err != nil {
-			t.Fatalf("%s: cold: %v", alg, err)
-		}
-		if base.Warm == nil {
-			t.Fatalf("%s: no warm state", alg)
-		}
-		delta := in.Clone()
-		delta.G = in.G + 2
-		d := ClassifyDelta(base.Warm.Base, delta)
-		if d.Kind != WarmRaiseG {
-			t.Fatalf("%s: kind %q", alg, d.Kind)
-		}
-		res, err := SolveWarmCtx(context.Background(), delta, base.Warm, d, SolveOptions{CaptureWarm: true})
-		if err != nil {
-			t.Fatalf("%s: warm: %v", alg, err)
-		}
-		if err := res.Schedule.Validate(delta); err != nil {
-			t.Fatalf("%s: invalid warm schedule: %v", alg, err)
-		}
-		if res.ActiveSlots > base.ActiveSlots {
-			t.Fatalf("%s: warm %d > base %d", alg, res.ActiveSlots, base.ActiveSlots)
-		}
-		if res.LPLowerBound != 0 || res.CertifiedRatio != 0 {
-			t.Fatalf("%s: warm result must not claim an LP certificate", alg)
-		}
-		if res.Warm == nil {
-			t.Fatalf("%s: warm state not re-captured", alg)
-		}
+	base, err := SolveCombinatorialCtx(context.Background(), in, SolveOptions{CaptureWarm: true})
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	if base.Warm == nil {
+		t.Fatal("no warm state")
+	}
+	delta := in.Clone()
+	delta.G = in.G + 2
+	d := ClassifyDelta(base.Warm.Base, delta)
+	if d.Kind != WarmRaiseG {
+		t.Fatalf("kind %q", d.Kind)
+	}
+	res, err := SolveWarmCtx(context.Background(), delta, base.Warm, d, SolveOptions{CaptureWarm: true})
+	if err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	if err := res.Schedule.Validate(delta); err != nil {
+		t.Fatalf("invalid warm schedule: %v", err)
+	}
+	if res.Algorithm != AlgCombinatorial {
+		t.Fatalf("warm result algorithm %q", res.Algorithm)
+	}
+	if res.ActiveSlots > base.ActiveSlots {
+		t.Fatalf("warm %d > base %d", res.ActiveSlots, base.ActiveSlots)
+	}
+	if res.Warm == nil {
+		t.Fatal("warm state not re-captured")
 	}
 }
 
-// TestSolveWarmCtxUnsupported pins the unsupported combinations.
+// TestSolveWarmCtxUnsupported pins that a delta the classifier did not
+// accept, or a missing state, is refused as a mismatch (solve cold).
 func TestSolveWarmCtxUnsupported(t *testing.T) {
 	in := canonical(gen.NestedForest(2, 2, 2, 2, 2))
-	base, err := SolveNested95Ctx(context.Background(), in, SolveOptions{CaptureWarm: true})
+	base, err := SolveCombinatorialCtx(context.Background(), in, SolveOptions{CaptureWarm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown := canonical(instance.MustNew(in.G, append(append([]Job(nil), in.Jobs...),
-		Job{Processing: 1, Release: in.Jobs[0].Release, Deadline: in.Jobs[0].Deadline})))
-	d := ClassifyDelta(in, grown)
-	if d.Kind != WarmSuperset {
-		t.Fatalf("kind %q", d.Kind)
+	raised := in.Clone()
+	raised.G++
+	if _, err := SolveWarmCtx(context.Background(), raised, base.Warm, Delta{}, SolveOptions{}); !errors.Is(err, ErrWarmMismatch) {
+		t.Fatalf("unclassified delta: err = %v, want ErrWarmMismatch", err)
 	}
-	// Supersets cannot resume LP state.
-	if _, err := SolveWarmCtx(context.Background(), grown, base.Warm, d, SolveOptions{}); !errors.Is(err, ErrWarmUnsupported) {
-		t.Fatalf("err = %v, want ErrWarmUnsupported", err)
+	if _, err := SolveWarmCtx(context.Background(), raised, nil, Delta{Kind: WarmRaiseG}, SolveOptions{}); !errors.Is(err, ErrWarmMismatch) {
+		t.Fatalf("nil state: err = %v, want ErrWarmMismatch", err)
 	}
-	if _, err := SolveWarmCtx(context.Background(), grown, base.Warm, Delta{}, SolveOptions{}); !errors.Is(err, ErrWarmUnsupported) {
-		t.Fatalf("err = %v, want ErrWarmUnsupported", err)
+	// Results that retain nothing (here the 9/5 pipeline's) offer no
+	// state to resume.
+	lp, err := SolveNested95Ctx(context.Background(), in, SolveOptions{CaptureWarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lp.Warm != nil {
+		t.Fatal("nested95 result retained warm state")
 	}
 }
 
@@ -142,29 +139,18 @@ func TestSolveWarmCtxUnsupported(t *testing.T) {
 // monotone acceptance bound, or an unexpected fallback for a delta the
 // classifier accepted. Run via `make fuzz-smoke` (and CI).
 func FuzzWarmVsCold(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(2), true, uint8(1))
-	f.Add(int64(7), uint8(12), uint8(3), false, uint8(2))
-	f.Add(int64(42), uint8(10), uint8(1), true, uint8(3))
-	f.Add(int64(-9), uint8(5), uint8(0), false, uint8(0))
-	f.Add(int64(1234), uint8(200), uint8(7), true, uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, n, g uint8, useComb bool, mutate uint8) {
+	f.Add(int64(1), uint8(8), uint8(2), uint8(1))
+	f.Add(int64(7), uint8(12), uint8(3), uint8(2))
+	f.Add(int64(42), uint8(10), uint8(1), uint8(3))
+	f.Add(int64(-9), uint8(5), uint8(0), uint8(0))
+	f.Add(int64(1234), uint8(200), uint8(7), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, n, g uint8, mutate uint8) {
 		jobs := 2 + int(n)%11 // 2..12: exact oracle stays cheap
 		capg := 1 + int64(g)%3
 		rng := rand.New(rand.NewSource(seed))
 		in := canonical(gen.RandomLaminar(rng, gen.DefaultLaminar(jobs, capg)))
 
-		alg := AlgNested95
-		opts := SolveOptions{Minimalize: true, CaptureWarm: true}
-		if useComb {
-			alg, opts = AlgCombinatorial, SolveOptions{CaptureWarm: true}
-		}
-		var base *Result
-		var err error
-		if useComb {
-			base, err = SolveCombinatorialCtx(context.Background(), in, opts)
-		} else {
-			base, err = SolveNested95Ctx(context.Background(), in, opts)
-		}
+		base, err := SolveCombinatorialCtx(context.Background(), in, SolveOptions{CaptureWarm: true})
 		if err != nil {
 			t.Fatalf("cold base: %v\n%v", err, in.Jobs)
 		}
@@ -172,10 +158,10 @@ func FuzzWarmVsCold(f *testing.F) {
 			t.Fatalf("no warm state captured\n%v", in.Jobs)
 		}
 
-		// Derive the delta: raised g, or (comb only) a nested superset.
+		// Derive the delta: raised g, or a nested superset.
 		var delta *Instance
 		wantKind := WarmRaiseG
-		if useComb && mutate%2 == 1 {
+		if mutate%2 == 1 {
 			k := 1 + int(mutate)%2
 			js := append([]Job(nil), in.Jobs...)
 			for a := 0; a < k; a++ {
@@ -201,10 +187,10 @@ func FuzzWarmVsCold(f *testing.F) {
 				// incremental greedy may legitimately come up short;
 				// both are counted fallbacks, not divergence — but only
 				// when a cold solve agrees the delta is hard.
-				if _, cerr := SolveCtx(context.Background(), delta, alg); cerr != nil {
+				if _, cerr := SolveCtx(context.Background(), delta, AlgCombinatorial); cerr != nil {
 					return // infeasible for cold too: consistent
 				}
-				if errors.Is(err, ErrWarmMismatch) || errors.Is(err, ErrWarmUnsupported) {
+				if errors.Is(err, ErrWarmMismatch) {
 					return // feasible but shortfall: allowed fallback
 				}
 			}
@@ -215,7 +201,7 @@ func FuzzWarmVsCold(f *testing.F) {
 		if err := warm.Schedule.Validate(delta); err != nil {
 			t.Fatalf("warm schedule invalid: %v\ndelta %v", err, delta.Jobs)
 		}
-		bound := base.Warm.Bound
+		bound := base.Warm.ActiveSlots
 		if wantKind == WarmSuperset {
 			for _, ji := range d.NewJobs {
 				bound += delta.Jobs[ji].Processing
@@ -231,7 +217,7 @@ func FuzzWarmVsCold(f *testing.F) {
 		if warm.ActiveSlots < opt {
 			t.Fatalf("warm %d below exact optimum %d\ndelta %v", warm.ActiveSlots, opt, delta.Jobs)
 		}
-		cold, err := SolveCtx(context.Background(), delta, alg)
+		cold, err := SolveCtx(context.Background(), delta, AlgCombinatorial)
 		if err != nil {
 			t.Fatalf("cold delta: %v\ndelta %v", err, delta.Jobs)
 		}
