@@ -13,8 +13,8 @@ const (
 // placement and only re-minimalizes; a superset resume additionally
 // replays the new jobs, so it keeps a larger share of the cold cost.
 // Unknown kinds (including "") predict at full cold cost. The factors
-// are more optimistic than the combinatorial resumes' measured
-// 1.3–1.6× (the delta benchmark families, EXPERIMENTS.md E24).
+// assume larger savings than the combinatorial resumes deliver, 1.8–3.6×
+// in the delta benchmark families (EXPERIMENTS.md E28).
 func WarmFactor(kind string) float64 {
 	switch kind {
 	case WarmKindRaiseG:

@@ -283,14 +283,17 @@ func TestSolveTimeout503(t *testing.T) {
 }
 
 // TestExactTimeoutFreesSlot: the general-window exact search honors the
-// request deadline. Two unit jobs over a 10⁶-slot horizon pass the
-// memory gate, but the branch and bound would run for minutes; with
-// timeout_ms it must answer 503 promptly, and the solve itself (which
-// runs in a cache flight detached from the request) must stop and
-// release its in-flight slot.
+// request deadline. Two unit jobs over a 10⁵-slot horizon pass the
+// memory gate, but the branch and bound, one max flow over the whole
+// horizon per node, would run for hours; with timeout_ms it must
+// answer 503 promptly, and the solve itself (which runs in a cache
+// flight detached from the request) must stop and release its
+// in-flight slot. The horizon is kept short enough that the one max
+// flow in progress at the deadline stays well under the wait even
+// under the race detector.
 func TestExactTimeoutFreesSlot(t *testing.T) {
 	s, ts, _ := testServerCfg(t, DefaultConfig(1))
-	body := `{"instance":{"g":1,"jobs":[{"p":1,"r":0,"d":600000},{"p":1,"r":2,"d":1000000}]},"algorithm":"exact","timeout_ms":200}`
+	body := `{"instance":{"g":1,"jobs":[{"p":1,"r":0,"d":60000},{"p":1,"r":2,"d":100000}]},"algorithm":"exact","timeout_ms":200}`
 	start := time.Now()
 	resp, data := postSolve(t, ts, body)
 	if resp.StatusCode != http.StatusServiceUnavailable {
