@@ -98,13 +98,11 @@ const (
 	// and 10⁵–10⁶ jobs, where the LP tableau of AlgNested95 grows with
 	// the fourth power of the nesting depth.
 	AlgCombinatorial Algorithm = "comb"
-	// AlgAuto routes per instance shape: non-nested windows go to
-	// AlgGreedyMinimal; nested instances the LP can afford go
-	// certificate-first (AlgCombinatorial, with AlgNested95 re-solving
-	// only the components comb's schedule does not provably solve
-	// optimally; see SolveCertificateFirstCtx); deep or huge nested
-	// instances go to AlgCombinatorial alone. See Route for the exact
-	// policy.
+	// AlgAuto routes by window shape: non-nested windows go to
+	// AlgGreedyMinimal, and nested instances go certificate-first
+	// (AlgCombinatorial, with AlgNested95 re-solving, within an LP
+	// budget, only the components comb's schedule does not provably
+	// solve optimally; see SolveCertificateFirstCtx).
 	AlgAuto Algorithm = "auto"
 	// AlgGreedyMinimal deactivates slots left to right while feasible;
 	// any minimal feasible solution is a 3-approximation.
@@ -137,10 +135,11 @@ type Result struct {
 	// CertifiedRatio is ActiveSlots / LPLowerBound when the LP bound
 	// is available; an instance-specific a-posteriori guarantee.
 	CertifiedRatio float64
-	// LowerBound is the laminar-tree lower bound on OPT, summed over
-	// forest components; only set by the certificate-first AlgAuto
-	// solve. ActiveSlots − LowerBound is the optimality gap, and a zero
-	// gap certifies the schedule optimal.
+	// LowerBound is a lower bound on OPT summed over forest
+	// components: the laminar-tree bound, or the rounded-up LP value
+	// where the LP ran and is higher; only set by the certificate-first
+	// AlgAuto solve. ActiveSlots − LowerBound is the optimality gap,
+	// and a zero gap certifies the schedule optimal.
 	LowerBound int64
 	// Stats holds the solve's instrumentation snapshot; only set by
 	// AlgNested95, AlgCombinatorial and the certificate-first AlgAuto
@@ -182,7 +181,8 @@ func SolveTraced(in *Instance, alg Algorithm, tr *Tracer) (*Result, error) {
 // SolveTracedCtx combines SolveCtx and SolveTraced. For AlgNested95,
 // AlgCombinatorial and both greedy orders cancellation is cooperative
 // throughout the solve, and AlgExact on general windows checks ctx
-// once per branch-and-bound node. AlgAllOpen (one flow) and AlgExact
+// once per branch-and-bound node and per BFS phase of its max flow.
+// AlgAllOpen (one flow) and AlgExact
 // on nested windows (intended for small instances) check ctx before
 // starting.
 func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer) (*Result, error) {
@@ -194,7 +194,7 @@ func SolveTracedCtx(ctx context.Context, in *Instance, alg Algorithm, tr *Tracer
 	}
 	switch alg {
 	case AlgAuto:
-		dec := Route(in, nil, DefaultRouteLimits())
+		dec := Route(in, nil, RouteLimits{})
 		var res *Result
 		var err error
 		if dec.Algorithm == AlgAuto {

@@ -3,6 +3,7 @@ package activetime
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/comb"
@@ -10,64 +11,18 @@ import (
 	"repro/internal/metrics"
 )
 
-// RouteLimits bounds what AlgAuto is willing to hand the LP pipeline.
-// An instance that exceeds any limit is routed to AlgCombinatorial
-// instead; the zero value of any field means "use the default".
-type RouteLimits struct {
-	// MaxLPJobs caps the job count for the LP path.
-	MaxLPJobs int
-	// MaxLPDepth caps the nesting depth for the LP path. The LP has a
-	// y-variable and a coupling row per (window, contained job) pair,
-	// so a chain of depth d costs Θ(d²) pairs and a Θ(d⁴) dense
-	// tableau.
-	MaxLPDepth int
-	// MaxLPTableauBytes caps the estimated dense-tableau footprint
-	// (costmodel.EstimateLP) for the LP path.
-	MaxLPTableauBytes int64
-	// MaxLPPredictedNS caps the cost model's latency prediction for
-	// the LP path.
-	MaxLPPredictedNS int64
-}
-
-// DefaultRouteLimits returns the production routing thresholds: the
-// LP path is reserved for instances where its 9/5 certificate is
-// affordable — at most 4096 jobs, nesting depth at most 64, an
-// estimated tableau under 64 MiB and a predicted solve under 500ms.
-func DefaultRouteLimits() RouteLimits {
-	return RouteLimits{
-		MaxLPJobs:         4096,
-		MaxLPDepth:        64,
-		MaxLPTableauBytes: 64 << 20,
-		MaxLPPredictedNS:  500e6,
-	}
-}
-
-func (l RouteLimits) withDefaults() RouteLimits {
-	d := DefaultRouteLimits()
-	if l.MaxLPJobs <= 0 {
-		l.MaxLPJobs = d.MaxLPJobs
-	}
-	if l.MaxLPDepth <= 0 {
-		l.MaxLPDepth = d.MaxLPDepth
-	}
-	if l.MaxLPTableauBytes <= 0 {
-		l.MaxLPTableauBytes = d.MaxLPTableauBytes
-	}
-	if l.MaxLPPredictedNS <= 0 {
-		l.MaxLPPredictedNS = d.MaxLPPredictedNS
-	}
-	return l
-}
+// RouteLimits has no fields: AlgAuto routes on window shape alone, and
+// the LP's cost is bounded per solve by costmodel.LPBudgetBytes where
+// the certificate-first solve runs it. The type stays only because
+// Route takes it and the benchmark harness (bench/e2e) calls
+// Route(in, model, RouteLimits{}).
+type RouteLimits struct{}
 
 // Routing reasons reported in RouteDecision.Reason (and surfaced as
 // route_reason on the server's wide events).
 const (
-	RouteReasonGeneralWindows      = "general_windows"
-	RouteReasonJobsOverLPCap       = "jobs_over_lp_cap"
-	RouteReasonDepthOverLPCap      = "depth_over_lp_cap"
-	RouteReasonLPTableauOverMemCap = "lp_tableau_over_mem_cap"
-	RouteReasonLPPredictedSlow     = "lp_predicted_slow"
-	RouteReasonCertificateFirst    = "certificate_first"
+	RouteReasonGeneralWindows   = "general_windows"
+	RouteReasonCertificateFirst = "certificate_first"
 	// RouteReasonSmallNestedLP is not returned by RouteProfile: the
 	// server uses it for an auto request that would have gone
 	// certificate-first but sets an option only the LP pipeline
@@ -84,75 +39,58 @@ type RouteDecision struct {
 	Algorithm Algorithm
 	// Reason is one of the RouteReason constants.
 	Reason string
-	// Jobs and Depth are the instance features the decision used.
+	// Jobs and Depth are the instance features PredictedNS used.
 	Jobs  int
 	Depth int
 	// PredictedNS is the cost model's latency prediction for the
 	// chosen algorithm.
 	PredictedNS int64
-	// LPTableauBytes is the estimated dense-tableau footprint the LP
-	// path would have needed (0 when the instance is not nested and
-	// the estimate was never consulted).
-	LPTableauBytes int64
 }
 
 // Route is RouteProfile over a fresh profile of in.
-func Route(in *Instance, m *costmodel.Model, lim RouteLimits) RouteDecision {
-	return RouteProfile(costmodel.NewProfile(in), m, lim)
+func Route(in *Instance, m *costmodel.Model, _ RouteLimits) RouteDecision {
+	return RouteProfile(costmodel.NewProfile(in), m)
 }
 
 // RouteProfile decides which solver an AlgAuto request should run,
-// from the instance profile and the cost model: non-nested windows go
-// to the greedy 3-approximation (the only general-windows algorithm
-// with a guarantee), nested instances go certificate-first (comb, then
-// the 9/5 LP pipeline on the components comb does not certify) while
-// the LP is affordable under the limits, and everything else — deep
-// chains, huge forests — goes to the combinatorial solver alone. A nil
-// model uses the embedded default; zero-valued limits use
-// DefaultRouteLimits. It reads the profile's LP estimate only for
-// nested instances within the job and depth caps.
-func RouteProfile(p *costmodel.Profile, m *costmodel.Model, lim RouteLimits) RouteDecision {
+// from the window shape alone: non-nested windows go to the greedy
+// 3-approximation (the only general-windows algorithm with a
+// guarantee), and nested instances go certificate-first (comb, then
+// the 9/5 LP pipeline on the components comb does not certify, within
+// costmodel.LPBudgetBytes). The model, nil for the embedded default,
+// only fills PredictedNS.
+func RouteProfile(p *costmodel.Profile, m *costmodel.Model) RouteDecision {
 	if m == nil {
 		m = costmodel.Default()
 	}
-	lim = lim.withDefaults()
-	dec := RouteDecision{Jobs: p.Jobs, Depth: p.Depth}
-	finish := func(alg Algorithm, reason string) RouteDecision {
-		dec.Algorithm = alg
-		dec.Reason = reason
-		dec.PredictedNS = m.PredictAlgNS(p.Family, string(alg), p.Jobs, p.Depth)
-		return dec
-	}
+	dec := RouteDecision{Algorithm: AlgAuto, Reason: RouteReasonCertificateFirst, Jobs: p.Jobs, Depth: p.Depth}
 	if p.Family == costmodel.FamilyGeneral {
-		return finish(AlgGreedyMinimal, RouteReasonGeneralWindows)
+		dec.Algorithm, dec.Reason = AlgGreedyMinimal, RouteReasonGeneralWindows
 	}
-	if p.Jobs > lim.MaxLPJobs {
-		return finish(AlgCombinatorial, RouteReasonJobsOverLPCap)
-	}
-	if p.Depth > lim.MaxLPDepth {
-		return finish(AlgCombinatorial, RouteReasonDepthOverLPCap)
-	}
-	dec.LPTableauBytes = p.LP().TableauBytes
-	if dec.LPTableauBytes > lim.MaxLPTableauBytes {
-		return finish(AlgCombinatorial, RouteReasonLPTableauOverMemCap)
-	}
-	if m.PredictAlgNS(p.Family, string(AlgNested95), p.Jobs, p.Depth) > lim.MaxLPPredictedNS {
-		return finish(AlgCombinatorial, RouteReasonLPPredictedSlow)
-	}
-	return finish(AlgAuto, RouteReasonCertificateFirst)
+	dec.PredictedNS = m.PredictAlgNS(p.Family, string(dec.Algorithm), p.Jobs, p.Depth)
+	return dec
 }
 
-// SolveCertificateFirstCtx is AlgAuto's solve for nested instances the
-// LP pipeline can afford. It runs the combinatorial solver once over
-// the whole instance and checks each forest component against the
-// laminar-tree lower bound. Where comb meets the bound its schedule is
-// optimal and the LP could only tie it. Every other component is
-// solved again by the 9/5 pipeline on its own, and the better of the
-// two schedules is kept. Result.LowerBound is the summed bound, and
-// Result.Algorithm names AlgNested95 when the LP replaced at least one
-// component, AlgCombinatorial otherwise. Options other than Workers,
-// Metrics and Trace are ignored.
+// SolveCertificateFirstCtx is AlgAuto's solve for nested instances. It
+// runs the combinatorial solver once over the whole instance and checks
+// each forest component against the laminar-tree lower bound. Where comb
+// meets the bound its schedule is optimal and the LP could only tie it.
+// Every other component is solved again by the 9/5 pipeline on its own,
+// in time order, while its costmodel.EstimateLP tableau fits in what is
+// left of costmodel.LPBudgetBytes, and the better of the two schedules
+// is kept. A component over the remaining budget keeps comb's schedule
+// (at most 2·OPT). Result.LowerBound sums, per component, the tree
+// bound, raised to the rounded-up LP value where the LP ran (the LP is
+// a relaxation). Result.Algorithm names AlgNested95 when the LP
+// replaced at least one component, AlgCombinatorial otherwise. Options
+// other than Workers, Metrics and Trace are ignored.
 func SolveCertificateFirstCtx(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
+	return solveCertificateFirst(ctx, in, opts, costmodel.LPBudgetBytes)
+}
+
+// solveCertificateFirst is SolveCertificateFirstCtx with the LP budget
+// in bytes as a parameter.
+func solveCertificateFirst(ctx context.Context, in *Instance, opts SolveOptions, budget int64) (*Result, error) {
 	rec := opts.Metrics
 	if rec == nil {
 		rec = new(metrics.Recorder)
@@ -170,24 +108,28 @@ func SolveCertificateFirstCtx(ctx context.Context, in *Instance, opts SolveOptio
 	var backmap [][]int
 	var kept []lpWin // components whose LP schedule beat comb's, in time order
 	for i, r := range rep.Roots {
-		res.LowerBound += r.Bound
-		if r.Active == r.Bound {
-			continue
-		}
-		if comps == nil {
-			comps, backmap = in.Components()
-			if len(comps) != len(rep.Roots) {
-				return nil, fmt.Errorf("activetime: internal: %d components but %d forest roots",
-					len(comps), len(rep.Roots))
+		bound := r.Bound
+		if r.Active != r.Bound {
+			if comps == nil {
+				comps, backmap = in.Components()
+				if len(comps) != len(rep.Roots) {
+					return nil, fmt.Errorf("activetime: internal: %d components but %d forest roots",
+						len(comps), len(rep.Roots))
+				}
+			}
+			if est := costmodel.EstimateLP(comps[i]).TableauBytes; est <= budget {
+				budget -= est
+				lp, err := SolveNested95Ctx(ctx, comps[i], SolveOptions{Workers: opts.Workers, Metrics: rec, Trace: opts.Trace})
+				if err != nil {
+					return nil, err
+				}
+				bound = max(bound, int64(math.Ceil(lp.LPLowerBound-1e-6)))
+				if lp.ActiveSlots < r.Active {
+					kept = append(kept, lpWin{i, lp.Schedule})
+				}
 			}
 		}
-		lp, err := SolveNested95Ctx(ctx, comps[i], SolveOptions{Workers: opts.Workers, Metrics: rec, Trace: opts.Trace})
-		if err != nil {
-			return nil, err
-		}
-		if lp.ActiveSlots < r.Active {
-			kept = append(kept, lpWin{i, lp.Schedule})
-		}
+		res.LowerBound += bound
 	}
 	if len(kept) > 0 {
 		// Drop comb's slots under the replaced roots (disjoint windows in

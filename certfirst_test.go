@@ -3,10 +3,12 @@ package activetime
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/comb"
+	"repro/internal/costmodel"
 	"repro/internal/exact"
 	"repro/internal/gapfam"
 	"repro/internal/gen"
@@ -106,17 +108,69 @@ func TestCertificateFirstCertifiedKeepsComb(t *testing.T) {
 	}
 }
 
+// TestCertificateFirstLPBudget: the LP budget is spent on gapped
+// components in time order. Two copies of Nested32(3) each leave comb
+// a gap (comb 6, nested95 5, tree bound and LP value 4); with room for
+// one tableau the first copy is re-solved by the LP and the second
+// keeps comb's schedule, its gap left in ActiveSlots − LowerBound.
+func TestCertificateFirstLPBudget(t *testing.T) {
+	part := gapfam.Nested32(3)
+	in := forestOf(3, part, part)
+	est := costmodel.EstimateLP(part).TableauBytes
+	cb, err := SolveCombinatorial(in, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		budget int64
+		alg    Algorithm
+		slots  int64
+	}{
+		{0, AlgCombinatorial, 12},
+		{est - 1, AlgCombinatorial, 12},
+		{est, AlgNested95, 11},
+		{2*est - 1, AlgNested95, 11},
+		{2 * est, AlgNested95, 10},
+	} {
+		res, err := solveCertificateFirst(context.Background(), in, SolveOptions{}, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Schedule.Validate(in); err != nil {
+			t.Fatalf("budget %d: invalid schedule: %v", tc.budget, err)
+		}
+		if res.Algorithm != tc.alg || res.ActiveSlots != tc.slots || res.LowerBound != 8 {
+			t.Errorf("budget %d: %s with %d slots and bound %d, want %s with %d and 8",
+				tc.budget, res.Algorithm, res.ActiveSlots, res.LowerBound, tc.alg, tc.slots)
+		}
+		if tc.slots == 11 {
+			// The second copy, from t = 100000 on, is comb's.
+			for tt, js := range cb.Schedule.Slots {
+				if got := res.Schedule.Slots[tt]; tt >= 100000 && !slices.Equal(got, js) {
+					t.Errorf("budget %d: slot %d holds %v, comb had %v", tc.budget, tt, got, js)
+				}
+			}
+		}
+	}
+}
+
 // FuzzCertificateFirst differentially checks AlgAuto's certificate-
 // first solve against internal/exact on small random nested forests of
-// one to three components: the tree bound never exceeds OPT, auto never
-// does worse than comb or nested95 on the same instance, a certified
-// result (slots equal to the bound) is optimal, and the schedule
-// validates. Run via `make fuzz-smoke` (and CI).
+// one to three components: the lower bound (tree bound, raised to the
+// LP value where the LP ran) never exceeds OPT, auto never does worse
+// than comb or nested95 on the same instance, a certified result (slots
+// equal to the bound) is optimal, and the schedule validates. With no
+// LP budget the result is comb's, its bound still at most OPT. Run via
+// `make fuzz-smoke` (and CI).
 func FuzzCertificateFirst(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(6), uint8(2), false)
 	f.Add(int64(7), uint8(2), uint8(4), uint8(3), false)
 	f.Add(int64(42), uint8(1), uint8(5), uint8(1), true)
 	f.Add(int64(-3), uint8(2), uint8(255), uint8(0), false)
+	// Two components where comb leaves a gap, the LP runs and its value
+	// lifts the bound above the tree bound (to 22 and 21 slots, OPT).
+	f.Add(int64(20), uint8(1), uint8(6), uint8(1), false)
+	f.Add(int64(73), uint8(1), uint8(6), uint8(1), false)
 	f.Fuzz(func(t *testing.T, seed int64, comps, n, g uint8, unit bool) {
 		capg := 1 + int64(g)%3
 		rng := rand.New(rand.NewSource(seed))
@@ -165,6 +219,17 @@ func FuzzCertificateFirst(f *testing.F) {
 		if best := min(cb.ActiveSlots, lp.ActiveSlots); res.ActiveSlots > best {
 			t.Fatalf("auto %d worse than min(comb %d, nested95 %d)\n%v",
 				res.ActiveSlots, cb.ActiveSlots, lp.ActiveSlots, in.Jobs)
+		}
+		noLP, err := solveCertificateFirst(context.Background(), in, SolveOptions{}, 0)
+		if err != nil {
+			t.Fatalf("auto without LP budget: %v\n%v", err, in.Jobs)
+		}
+		if err := noLP.Schedule.Validate(in); err != nil {
+			t.Fatalf("invalid schedule without LP budget: %v\n%v", err, in.Jobs)
+		}
+		if noLP.Algorithm != AlgCombinatorial || noLP.ActiveSlots != cb.ActiveSlots || noLP.LowerBound > opt {
+			t.Fatalf("without LP budget: %s, %d slots, bound %d; comb %d, OPT %d\n%v",
+				noLP.Algorithm, noLP.ActiveSlots, noLP.LowerBound, cb.ActiveSlots, opt, in.Jobs)
 		}
 	})
 }

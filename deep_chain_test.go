@@ -14,8 +14,9 @@ import (
 // the default (LP) algorithm, because the strengthened LP carries a
 // y-variable and coupling row per (window, contained job) pair —
 // ~405k pairs here — and the dense tableau is pairs² cells. The auto
-// route must send it to the combinatorial solver and finish in memory
-// linear in the instance.
+// route goes certificate-first: comb meets the tree bound on the chain,
+// so the LP never runs, and the solve finishes in memory linear in the
+// instance.
 func TestDeepChain900Regression(t *testing.T) {
 	in, err := LoadInstance("testdata/deep_chain_900.json")
 	if err != nil {
@@ -47,15 +48,16 @@ func TestDeepChain900Regression(t *testing.T) {
 		t.Errorf("solve allocated %d bytes, budget 64 MiB", allocated)
 	}
 
-	if res.Route == nil || res.Route.Algorithm != AlgCombinatorial {
-		t.Fatalf("auto route = %+v, want comb", res.Route)
+	if res.Route == nil || res.Route.Reason != RouteReasonCertificateFirst {
+		t.Fatalf("auto route = %+v, want certificate-first", res.Route)
 	}
 	if res.Algorithm != AlgCombinatorial {
 		t.Fatalf("result algorithm = %q", res.Algorithm)
 	}
-	// 900 unit jobs at g=2: the volume bound of 450 slots is achieved.
-	if res.ActiveSlots != 450 {
-		t.Fatalf("active slots = %d, want 450", res.ActiveSlots)
+	// 900 unit jobs at g=2: the volume bound of 450 slots is achieved,
+	// and the certificate says so.
+	if res.ActiveSlots != 450 || res.LowerBound != res.ActiveSlots {
+		t.Fatalf("active slots = %d, lower bound = %d, want both 450", res.ActiveSlots, res.LowerBound)
 	}
 	if err := res.Schedule.Validate(in); err != nil {
 		t.Fatalf("invalid schedule: %v", err)

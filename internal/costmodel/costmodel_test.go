@@ -240,6 +240,35 @@ func TestEstimateLPComponentsTakeMax(t *testing.T) {
 	}
 }
 
+// TestLPCeilingBoundsEstimate: the job-count ceiling SolveBytes("auto")
+// charges is never below EstimateLP, on random forests, chains, and a
+// wide window over many disjoint ones (pairs well above depth²), and it
+// is tight for a single job.
+func TestLPCeilingBoundsEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var ins []*instance.Instance
+	for trial := 0; trial < 50; trial++ {
+		ins = append(ins, gen.RandomLaminar(rng, gen.DefaultLaminar(2+rng.Intn(40), 3)))
+	}
+	for _, n := range []int{1, 2, 30} {
+		ins = append(ins, gen.NestedChain(n, 2, 1))
+		wide := []instance.Job{{Processing: 1, Release: 0, Deadline: int64(2 * n)}}
+		for k := 0; k < n; k++ {
+			wide = append(wide, instance.Job{Processing: 1, Release: int64(2 * k), Deadline: int64(2*k + 1)})
+		}
+		ins = append(ins, instance.MustNew(2, wide))
+	}
+	for _, in := range ins {
+		if e, c := EstimateLP(in).TableauBytes, lpCeilingBytes(int64(in.N())); e > c {
+			t.Fatalf("%d jobs: estimate %d above ceiling %d\n%v", in.N(), e, c, in.Jobs)
+		}
+	}
+	one := instance.MustNew(1, []instance.Job{{Processing: 1, Release: 0, Deadline: 5}})
+	if e, c := EstimateLP(one).TableauBytes, lpCeilingBytes(1); e != c {
+		t.Fatalf("single job: estimate %d, ceiling %d", e, c)
+	}
+}
+
 func TestEstimateLPEmpty(t *testing.T) {
 	if e := EstimateLP(&instance.Instance{G: 2}); e.TableauBytes != 0 {
 		t.Errorf("empty estimate = %+v", e)

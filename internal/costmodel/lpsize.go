@@ -7,6 +7,13 @@ import (
 	"repro/internal/instance"
 )
 
+// LPBudgetBytes bounds the LP tableaus one certificate-first solve
+// builds: the EstimateLP footprints of the components it re-solves with
+// the 9/5 pipeline sum to at most this. Because it is spent per solve,
+// not per component, it bounds the LP's total time as well as its peak
+// memory.
+const LPBudgetBytes = 64 << 20
+
 // LPEstimate is a conservative lower bound on the size of the
 // strengthened LP the nested95 pipeline would build for one laminar
 // component. Rows and Cols bound the dense simplex tableau the solver
@@ -127,6 +134,17 @@ func estimateComponent(in *instance.Instance) LPEstimate {
 		Cols:         cols,
 		TableauBytes: satMulBytes(rows, cols),
 	}
+}
+
+// lpCeilingBytes bounds the TableauBytes EstimateLP can report for any
+// component of an instance with the given job count, without looking at
+// its windows: at most one node per job, and at most jobs² pairs (depth
+// does not bound them, since a window may contain many disjoint
+// windows).
+func lpCeilingBytes(jobs int64) int64 {
+	n := min(jobs, 1<<20) // the ceiling saturates long before this
+	rows := n + 2*n + n*n
+	return satMulBytes(rows, n+n*n+rows)
 }
 
 // satMulBytes returns 8·r·c + r·c/8 saturating at MaxInt64.

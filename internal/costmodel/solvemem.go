@@ -38,7 +38,9 @@ const (
 // certificate-first auto at comb's lower rate). On top of that:
 //   - "comb", and "auto" on the certificate-first route: comb's
 //     per-slot arrays over the slot universe ("auto" adds the LP
-//     tableau of the components comb leaves uncertified);
+//     tableaus it may build for the components comb leaves
+//     uncertified: LPBudgetBytes, or less when the job count caps
+//     every component's tableau lower);
 //   - "nested95": the LP tableau floor of EstimateLP;
 //   - "all-open": its structures over every candidate slot;
 //   - "exact" on general windows: one search step per slot of slack.
@@ -57,7 +59,7 @@ func (p *Profile) SolveBytes(alg string) int64 {
 	switch alg {
 	case "auto":
 		b = satAdd(b, satMul(p.Slots, combSlotBytes))
-		b = satAdd(b, p.LP().TableauBytes)
+		b = satAdd(b, min(LPBudgetBytes, lpCeilingBytes(int64(p.Jobs))))
 	case "comb":
 		b = satAdd(b, satMul(p.Slots, combSlotBytes))
 	case "nested95":

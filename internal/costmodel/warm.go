@@ -11,16 +11,18 @@ const (
 // WarmFactor returns the multiplicative discount a warm start of the
 // given kind earns over the cold prediction. A raised-g resume skips
 // placement and only re-minimalizes; a superset resume additionally
-// replays the new jobs, so it keeps a larger share of the cold cost.
+// places the new jobs, so it keeps a larger share of the cold cost.
 // Unknown kinds (including "") predict at full cold cost. The factors
-// assume larger savings than the combinatorial resumes deliver, 1.8–3.6×
-// in the delta benchmark families (EXPERIMENTS.md E28).
+// are the combinatorial resumes' measured warm/cold time ratios, the
+// median over three runs of `atbench` (ns_per_op / cold_ns_per_op):
+// 0.27–0.31 on delta-raise-g-100k, and 0.26–0.56 over the two grow
+// families (EXPERIMENTS.md E29).
 func WarmFactor(kind string) float64 {
 	switch kind {
 	case WarmKindRaiseG:
-		return 0.125
+		return 0.29
 	case WarmKindSuperset:
-		return 0.25
+		return 0.36
 	}
 	return 1
 }

@@ -3,8 +3,8 @@ package costmodel
 import "testing"
 
 func TestWarmFactor(t *testing.T) {
-	if f := WarmFactor(WarmKindRaiseG); f <= 0 || f > 0.2 {
-		t.Fatalf("raise_g factor = %g, want a deep discount", f)
+	if f := WarmFactor(WarmKindRaiseG); f <= 0 || f >= 1 {
+		t.Fatalf("raise_g factor = %g, want a discount", f)
 	}
 	if f := WarmFactor(WarmKindSuperset); f <= WarmFactor(WarmKindRaiseG) || f >= 1 {
 		t.Fatalf("superset factor = %g, want between raise_g and cold", f)

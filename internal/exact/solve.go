@@ -225,13 +225,15 @@ func SolveGeneralRec(in *instance.Instance, rec *metrics.Recorder) (int64, []int
 // SolveGeneralTrace is SolveGeneralRec with cooperative cancellation
 // and a "bb_general" trace span (with expanded/pruned node counts)
 // under sp; a nil span disables tracing. ctx is checked once per
-// branch-and-bound node (each node already pays a max flow), and a
-// canceled search returns ctx.Err().
+// branch-and-bound node and once per BFS phase of each node's max
+// flow, and a canceled search returns ctx.Err().
 func SolveGeneralTrace(ctx context.Context, in *instance.Instance, rec *metrics.Recorder, sp *trace.Span) (int64, []int64, error) {
-	bsp := sp.StartChild("bb_general", trace.Int("candidate_slots", int64(len(in.SortedSlots()))))
-	defer bsp.End()
 	slots := in.SortedSlots()
-	if !flowfeas.CheckSlotsRec(in, slots, rec) {
+	bsp := sp.StartChild("bb_general", trace.Int("candidate_slots", int64(len(slots))))
+	defer bsp.End()
+	if ok, err := flowfeas.CheckSlotsCtx(ctx, in, slots, rec); err != nil {
+		return 0, nil, err
+	} else if !ok {
 		return 0, nil, fmt.Errorf("exact: instance infeasible even with all slots open")
 	}
 	s := &generalSearch{ctx: ctx, in: in, slots: slots, lb: in.LowerBound(), rec: rec}
@@ -309,6 +311,8 @@ func (s *generalSearch) dfs(k int, opened int64) {
 	s.dfs(k+1, opened+1)
 }
 
+// feasibleRelaxed flow-checks the current open set; a canceled check
+// records ctx's error on the search and reports infeasible.
 func (s *generalSearch) feasibleRelaxed() bool {
 	var open []int64
 	for i, b := range s.open {
@@ -316,7 +320,11 @@ func (s *generalSearch) feasibleRelaxed() bool {
 			open = append(open, s.slots[i])
 		}
 	}
-	return flowfeas.CheckSlotsRec(s.in, open, s.rec)
+	ok, err := flowfeas.CheckSlotsCtx(s.ctx, s.in, open, s.rec)
+	if err != nil {
+		s.err = err
+	}
+	return ok
 }
 
 // Opt computes the exact optimum of an instance, dispatching to the

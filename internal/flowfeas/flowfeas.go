@@ -27,14 +27,22 @@ func CheckSlots(in *instance.Instance, open []int64) bool {
 // CheckSlotsRec is CheckSlots reporting max-flow operation counts to
 // rec (nil disables reporting).
 func CheckSlotsRec(in *instance.Instance, open []int64, rec *metrics.Recorder) bool {
-	_, ok := runSlotFlow(in, open, rec)
+	ok, _ := CheckSlotsCtx(context.Background(), in, open, rec)
 	return ok
+}
+
+// CheckSlotsCtx is CheckSlotsRec with cooperative cancellation: ctx is
+// checked once per max-flow BFS phase, and a canceled check returns
+// false with ctx's error.
+func CheckSlotsCtx(ctx context.Context, in *instance.Instance, open []int64, rec *metrics.Recorder) (bool, error) {
+	_, ok, err := runSlotFlow(ctx, in, open, rec)
+	return ok, err
 }
 
 // ScheduleOnSlots builds a concrete schedule using only the open
 // slots; it returns an error when the slot set is infeasible.
 func ScheduleOnSlots(in *instance.Instance, open []int64) (*sched.Schedule, error) {
-	net, ok := runSlotFlow(in, open, nil)
+	net, ok, _ := runSlotFlow(context.Background(), in, open, nil)
 	if !ok {
 		return nil, fmt.Errorf("flowfeas: slot set of size %d infeasible", len(net.slots))
 	}
@@ -61,7 +69,7 @@ type slotNet struct {
 
 // runSlotFlow builds and runs the slot-indexed network:
 // source -> job (p_j), job -> open slot in window (1), slot -> sink (g).
-func runSlotFlow(in *instance.Instance, open []int64, rec *metrics.Recorder) (*slotNet, bool) {
+func runSlotFlow(ctx context.Context, in *instance.Instance, open []int64, rec *metrics.Recorder) (*slotNet, bool, error) {
 	slots := dedupSorted(open)
 	n := in.N()
 	// Each job's usable slots are the block slots[lo:hi], found by binary
@@ -106,8 +114,8 @@ func runSlotFlow(in *instance.Instance, open []int64, rec *metrics.Recorder) (*s
 		}
 		net.jobSlotEdges[j.ID] = edges
 	}
-	got := g.Run(src, snk)
-	return net, got == want
+	got, err := g.RunCtx(ctx, src, snk)
+	return net, err == nil && got == want, err
 }
 
 // CheckNodeCounts reports whether opening counts[i] slots inside each

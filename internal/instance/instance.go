@@ -5,9 +5,11 @@
 package instance
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/interval"
@@ -214,18 +216,27 @@ func (in *Instance) Clone() *Instance {
 
 // SortedSlots returns, in increasing order, every slot index covered
 // by at least one job window. Only these slots can ever be active.
+// It merges the windows in release order, so its cost is the slot
+// count plus n log n.
 func (in *Instance) SortedSlots() []int64 {
-	seen := map[int64]bool{}
-	for _, j := range in.Jobs {
-		for t := j.Release; t < j.Deadline; t++ {
-			seen[t] = true
+	wins := make([]interval.Interval, len(in.Jobs))
+	for i, j := range in.Jobs {
+		wins[i] = j.Window()
+	}
+	slices.SortFunc(wins, func(a, b interval.Interval) int { return cmp.Compare(a.Start, b.Start) })
+	out := []int64{}
+	for _, w := range wins {
+		// Every slot from w.Start up to the last one emitted is already
+		// covered by an earlier window, which also starts at or before
+		// w.Start and reaches past that slot.
+		t := w.Start
+		if len(out) > 0 {
+			t = max(t, out[len(out)-1]+1)
+		}
+		for ; t < w.End; t++ {
+			out = append(out, t)
 		}
 	}
-	out := make([]int64, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -124,6 +126,35 @@ func TestHorizonAndSlots(t *testing.T) {
 	for i := range want {
 		if slots[i] != want[i] {
 			t.Fatalf("SortedSlots: %v want %v", slots, want)
+		}
+	}
+}
+
+// TestSortedSlotsMatchesSetUnion checks the window merge against the
+// set of every slot of every window, on random overlapping, nested and
+// disjoint windows.
+func TestSortedSlotsMatchesSetUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var jobs []Job
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			r := rng.Int63n(30)
+			jobs = append(jobs, Job{Processing: 1, Release: r, Deadline: r + 1 + rng.Int63n(12)})
+		}
+		in := mk(t, 1, jobs...)
+		seen := map[int64]bool{}
+		for _, j := range in.Jobs {
+			for s := j.Release; s < j.Deadline; s++ {
+				seen[s] = true
+			}
+		}
+		var want []int64
+		for s := range seen {
+			want = append(want, s)
+		}
+		slices.Sort(want)
+		if got := in.SortedSlots(); !slices.Equal(got, want) {
+			t.Fatalf("windows %v: SortedSlots %v, want %v", in.Jobs, got, want)
 		}
 	}
 }

@@ -25,10 +25,11 @@ func instanceJSON(t *testing.T, in *instance.Instance) string {
 	return strings.TrimSpace(buf.String())
 }
 
-// TestAutoRoutesDeepChainToComb is the bug this cycle fixes: a deep
-// nested chain submitted with no algorithm must run on the
-// combinatorial solver, not be fed to the LP whose tableau grows with
-// depth⁴.
+// TestAutoRoutesDeepChainToComb is the bug the combinatorial solver
+// fixed: a deep nested chain submitted with no algorithm must not be
+// fed whole to the LP, whose tableau grows with depth⁴. It goes
+// certificate-first, where comb meets the tree bound, so the LP never
+// runs and the response certifies comb's schedule optimal.
 func TestAutoRoutesDeepChainToComb(t *testing.T) {
 	s, ts, _ := testServerCfg(t, Config{DefaultWorkers: 1, EventRing: 16})
 	chain := gen.NestedChain(200, 2, 1)
@@ -41,10 +42,11 @@ func TestAutoRoutesDeepChainToComb(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Algorithm != string(activetime.AlgCombinatorial) {
-		t.Fatalf("auto routed depth-200 chain to %q, want comb", out.Algorithm)
+		t.Fatalf("auto solved depth-200 chain with %q, want comb", out.Algorithm)
 	}
-	if out.ActiveSlots != 100 {
-		t.Fatalf("active slots = %d, want the volume bound 100", out.ActiveSlots)
+	if out.ActiveSlots != 100 || out.LowerBound != out.ActiveSlots {
+		t.Fatalf("active slots = %d, lower_bound = %d, want both at the volume bound 100",
+			out.ActiveSlots, out.LowerBound)
 	}
 	page := s.Obs().Events(obs.EventFilter{})
 	if len(page.Events) == 0 {
@@ -54,8 +56,8 @@ func TestAutoRoutesDeepChainToComb(t *testing.T) {
 	if ev.Algorithm != string(activetime.AlgCombinatorial) {
 		t.Fatalf("event algorithm = %q", ev.Algorithm)
 	}
-	if ev.RouteReason != activetime.RouteReasonDepthOverLPCap {
-		t.Fatalf("event route_reason = %q, want %q", ev.RouteReason, activetime.RouteReasonDepthOverLPCap)
+	if ev.RouteReason != activetime.RouteReasonCertificateFirst {
+		t.Fatalf("event route_reason = %q, want %q", ev.RouteReason, activetime.RouteReasonCertificateFirst)
 	}
 }
 
@@ -96,7 +98,8 @@ func TestAutoCertificateFirst(t *testing.T) {
 }
 
 // TestAutoLPOptionsKeepNested95: an auto request that sets an option
-// only the LP pipeline honors keeps the whole instance on nested95.
+// only the LP pipeline honors keeps the whole instance on nested95,
+// unless its tableau is over the LP budget.
 func TestAutoLPOptionsKeepNested95(t *testing.T) {
 	s, ts, _ := testServerCfg(t, Config{DefaultWorkers: 1, EventRing: 16})
 	resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`,"minimalize":true}`)
@@ -113,6 +116,17 @@ func TestAutoLPOptionsKeepNested95(t *testing.T) {
 	page := s.Obs().Events(obs.EventFilter{})
 	if ev := page.Events[len(page.Events)-1]; ev.RouteReason != activetime.RouteReasonSmallNestedLP {
 		t.Fatalf("event route_reason = %q", ev.RouteReason)
+	}
+	// A depth-200 chain's tableau is far over the LP budget, so the same
+	// options leave it certificate-first.
+	resp, data = postSolve(t, ts, `{"instance":`+instanceJSON(t, gen.NestedChain(200, 2, 1))+`,"minimalize":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	page = s.Obs().Events(obs.EventFilter{})
+	if ev := page.Events[len(page.Events)-1]; ev.RouteReason != activetime.RouteReasonCertificateFirst ||
+		ev.Algorithm != string(activetime.AlgCombinatorial) {
+		t.Fatalf("over-budget chain with minimalize: route_reason %q, algorithm %q", ev.RouteReason, ev.Algorithm)
 	}
 }
 

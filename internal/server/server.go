@@ -432,17 +432,12 @@ func solveStatus(err error) int {
 func (s *Server) route(p *plan) (string, error) {
 	var reason string
 	if p.alg == activetime.AlgAuto {
-		var lim activetime.RouteLimits
-		// An operator cap tighter than the router's default LP budget
-		// also tightens routing, so auto never picks an LP the gate
-		// would have refused.
-		if c := s.cfg.MaxSolveMemBytes; c > 0 && c < activetime.DefaultRouteLimits().MaxLPTableauBytes {
-			lim.MaxLPTableauBytes = c
-		}
-		dec := activetime.RouteProfile(p.prof, s.cost, lim)
-		if dec.Algorithm == activetime.AlgAuto && (p.req.ExactLP || p.req.Minimalize || p.req.Compact) {
+		dec := activetime.RouteProfile(p.prof, s.cost)
+		if dec.Algorithm == activetime.AlgAuto && (p.req.ExactLP || p.req.Minimalize || p.req.Compact) &&
+			p.prof.LP().TableauBytes <= costmodel.LPBudgetBytes {
 			// These options mean something only to the LP pipeline, so
-			// such a request keeps it for the whole instance.
+			// such a request keeps it for the whole instance when every
+			// component's tableau fits the certificate-first LP budget.
 			dec.Algorithm, dec.Reason = activetime.AlgNested95, activetime.RouteReasonSmallNestedLP
 		}
 		p.alg, reason = dec.Algorithm, dec.Reason
