@@ -15,7 +15,7 @@ import (
 // the LP's cost is bounded per solve by costmodel.LPBudgetBytes where
 // the certificate-first solve runs it. The type stays only because
 // Route takes it and the benchmark harness (bench/e2e) calls
-// Route(in, model, RouteLimits{}).
+// Route(in, costmodel.Default(), RouteLimits{}).
 type RouteLimits struct{}
 
 // Routing reasons reported in RouteDecision.Reason (and surfaced as
@@ -39,17 +39,12 @@ type RouteDecision struct {
 	Algorithm Algorithm
 	// Reason is one of the RouteReason constants.
 	Reason string
-	// Jobs and Depth are the instance features PredictedNS used.
-	Jobs  int
-	Depth int
-	// PredictedNS is the cost model's latency prediction for the
-	// chosen algorithm.
-	PredictedNS int64
 }
 
-// Route is RouteProfile over a fresh profile of in.
-func Route(in *Instance, m *costmodel.Model, _ RouteLimits) RouteDecision {
-	return RouteProfile(costmodel.NewProfile(in), m)
+// Route is RouteProfile over a fresh profile of in; it ignores the
+// model and the limits, both empty.
+func Route(in *Instance, _ *costmodel.Model, _ RouteLimits) RouteDecision {
+	return RouteProfile(costmodel.NewProfile(in))
 }
 
 // RouteProfile decides which solver an AlgAuto request should run,
@@ -57,18 +52,12 @@ func Route(in *Instance, m *costmodel.Model, _ RouteLimits) RouteDecision {
 // 3-approximation (the only general-windows algorithm with a
 // guarantee), and nested instances go certificate-first (comb, then
 // the 9/5 LP pipeline on the components comb does not certify, within
-// costmodel.LPBudgetBytes). The model, nil for the embedded default,
-// only fills PredictedNS.
-func RouteProfile(p *costmodel.Profile, m *costmodel.Model) RouteDecision {
-	if m == nil {
-		m = costmodel.Default()
-	}
-	dec := RouteDecision{Algorithm: AlgAuto, Reason: RouteReasonCertificateFirst, Jobs: p.Jobs, Depth: p.Depth}
+// costmodel.LPBudgetBytes).
+func RouteProfile(p *costmodel.Profile) RouteDecision {
 	if p.Family == costmodel.FamilyGeneral {
-		dec.Algorithm, dec.Reason = AlgGreedyMinimal, RouteReasonGeneralWindows
+		return RouteDecision{Algorithm: AlgGreedyMinimal, Reason: RouteReasonGeneralWindows}
 	}
-	dec.PredictedNS = m.PredictAlgNS(p.Family, string(dec.Algorithm), p.Jobs, p.Depth)
-	return dec
+	return RouteDecision{Algorithm: AlgAuto, Reason: RouteReasonCertificateFirst}
 }
 
 // SolveCertificateFirstCtx is AlgAuto's solve for nested instances. It
@@ -76,14 +65,15 @@ func RouteProfile(p *costmodel.Profile, m *costmodel.Model) RouteDecision {
 // each forest component against the laminar-tree lower bound. Where comb
 // meets the bound its schedule is optimal and the LP could only tie it.
 // Every other component is solved again by the 9/5 pipeline on its own,
-// in time order, while its costmodel.EstimateLP tableau fits in what is
-// left of costmodel.LPBudgetBytes, and the better of the two schedules
-// is kept. A component over the remaining budget keeps comb's schedule
-// (at most 2·OPT). Result.LowerBound sums, per component, the tree
-// bound, raised to the rounded-up LP value where the LP ran (the LP is
-// a relaxation). Result.Algorithm names AlgNested95 when the LP
-// replaced at least one component, AlgCombinatorial otherwise. Options
-// other than Workers, Metrics and Trace are ignored.
+// in time order, while its costmodel.EstimateComponent tableau fits in
+// what is left of costmodel.LPBudgetBytes, and the better of the two
+// schedules is kept. A component over the remaining budget keeps
+// comb's schedule (at most 2·OPT). Result.LowerBound sums, per
+// component, the tree bound, raised to the rounded-up LP value where
+// the LP ran (the LP is a relaxation). Result.Algorithm names
+// AlgNested95 when the LP replaced at least one component,
+// AlgCombinatorial otherwise. Options other than Workers, Metrics and
+// Trace are ignored.
 func SolveCertificateFirstCtx(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
 	return solveCertificateFirst(ctx, in, opts, costmodel.LPBudgetBytes)
 }
@@ -117,7 +107,7 @@ func solveCertificateFirst(ctx context.Context, in *Instance, opts SolveOptions,
 						len(comps), len(rep.Roots))
 				}
 			}
-			if est := costmodel.EstimateLP(comps[i]).TableauBytes; est <= budget {
+			if est := costmodel.EstimateComponent(comps[i]).TableauBytes; est <= budget {
 				budget -= est
 				lp, err := SolveNested95Ctx(ctx, comps[i], SolveOptions{Workers: opts.Workers, Metrics: rec, Trace: opts.Trace})
 				if err != nil {

@@ -22,7 +22,7 @@
 //	            [-max-inflight N] [-admission-wait DUR] [-solve-timeout DUR] [-cache-entries N]
 //	            [-max-solve-mem BYTES]
 //	            [-jobs-running N] [-jobs-queued N] [-jobs-policy fcfs|priority|sjf]
-//	            [-jobs-budget class=N,...] [-cost-model PATH]
+//	            [-jobs-budget class=N,...]
 //	            [-events-ring N] [-events-file PATH] [-tail-slow DUR] [-tail-traces N]
 //	            [-slo-p99 MS] [-slo-max-error-rate F] [-drain-wait DUR]
 package main
@@ -40,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -61,7 +60,6 @@ func main() {
 	jobsQueued := flag.Int("jobs-queued", 256, "maximum queued async jobs across all classes")
 	jobsPolicy := flag.String("jobs-policy", "sjf", "async job scheduling policy: fcfs | priority | sjf")
 	jobsBudget := flag.String("jobs-budget", "", "per-class admission budgets, e.g. interactive=64,batch=128 (empty = unbounded)")
-	costModelPath := flag.String("cost-model", "", "predicted-cost model JSON (empty = embedded model fitted from BENCH_core.json)")
 	eventsRing := flag.Int("events-ring", 1024, "wide-event in-memory ring size behind /debug/events (0 disables the telemetry pipeline)")
 	eventsFile := flag.String("events-file", "", "append every wide event as one JSON line to this file")
 	tailSlow := flag.Duration("tail-slow", 250*time.Millisecond, "tail-sampling threshold: successful requests at or above it retain their trace (0 = errors/sheds only)")
@@ -92,15 +90,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "activetimed: %v\n", err)
 		os.Exit(2)
 	}
-	var model *costmodel.Model
-	if *costModelPath != "" {
-		m, err := costmodel.Load(*costModelPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "activetimed: %v\n", err)
-			os.Exit(2)
-		}
-		model = m
-	}
 	var eventSink *os.File
 	if *eventsFile != "" {
 		f, err := os.OpenFile(*eventsFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -124,7 +113,6 @@ func main() {
 		JobsMaxQueued:    *jobsQueued,
 		JobsPolicy:       *jobsPolicy,
 		JobsBudgets:      budgets,
-		CostModel:        model,
 		EventRing:        *eventsRing,
 		TailSlow:         *tailSlow,
 		TraceRetain:      *tailTraces,

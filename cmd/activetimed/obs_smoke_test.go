@@ -194,7 +194,6 @@ func TestObsSmoke(t *testing.T) {
 		"activetime_build_info{version=",
 		`activetime_slo_requests{window="1m"} 4`,
 		"activetime_slo_latency_objective_ms 250",
-		`activetime_costmodel_abs_pct_err_count{family="laminar",class="sync"}`,
 	} {
 		if !strings.Contains(string(mdata), want) {
 			t.Errorf("metrics missing %q", want)

@@ -9,13 +9,6 @@
 //
 //	atbench [-out BENCH_core.json] [-runs 5] [-budget 300ms] [-quick]
 //	atbench -compare old.json new.json [-fail-over 1.15]
-//	atbench -fit [-in BENCH_core.json] [-fit-out internal/costmodel/costmodel.json]
-//
-// The -fit mode regenerates the predicted-cost model: it reloads the
-// committed baseline, rebuilds the frozen benchmark instances to
-// derive each family's mean jobs and nesting depth, least-squares
-// fits ns = C0 + C1·jobs·depth per cost family, and writes the
-// coefficients consumed (via go:embed) by internal/costmodel.
 //
 // The -compare mode is the run-comparison tool: it prints a per-family
 // table of ns/op, allocs/op and counter deltas between two reports and
@@ -38,7 +31,6 @@ import (
 	activetime "repro"
 	"repro/internal/comb"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/gapfam"
 	"repro/internal/gen"
 	"repro/internal/greedy"
@@ -104,19 +96,9 @@ func main() {
 		compare  = flag.Bool("compare", false, "compare two existing reports instead of benchmarking")
 		failOver = flag.Float64("fail-over", 0, "with -compare: exit 1 when any family's ns/op regressed by more than this factor (0 disables)")
 		checkCtr = flag.Bool("check-counters", false, "with -compare: exit 1 when any family's deterministic counters differ")
-		fit      = flag.Bool("fit", false, "fit the predicted-cost model from an existing baseline instead of benchmarking")
-		fitIn    = flag.String("in", "BENCH_core.json", "with -fit: baseline report to fit from")
-		fitOut   = flag.String("fit-out", "internal/costmodel/costmodel.json", "with -fit: output path for the fitted coefficients")
 	)
 	flag.Parse()
 
-	if *fit {
-		if err := runFit(*fitIn, *fitOut); err != nil {
-			fmt.Fprintln(os.Stderr, "atbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *compare {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: atbench -compare old.json new.json")
@@ -187,9 +169,7 @@ func families() []family {
 		// it: a 900-level chain the LP cannot touch (its estimated
 		// tableau is terabytes; see EstimateLP) solved combinatorially.
 		// deep-chain-lp is the deepest chain the LP path still affords,
-		// kept on the LP so the refit captures its superlinear
-		// depth-growth (the jobs·depth³ feature) instead of
-		// underpredicting deep instances with a linear fit.
+		// kept on the LP to time its superlinear growth with depth.
 		{name: "deep-chain", algorithm: "comb", instances: []*instance.Instance{
 			gen.NestedChain(900, 2, 1),
 		}},
@@ -512,100 +492,6 @@ func runCompare(oldPath, newPath string, failOver float64, checkCounters bool) i
 		}
 	}
 	return exit
-}
-
-// --- cost-model fitting ---
-
-// costRowOf maps a benchmark family to the cost-model row (family,
-// algorithm, feature) its measurements inform. The gap worst-case
-// constructions stand in for the general family: they are the hardest
-// shapes the benchmark suite contains and give the general path a
-// pessimistic (safe-side) coefficient. The per-algorithm rows are
-// keyed to the default cost family (laminar) so the fallback chain —
-// (family, alg) → (laminar, alg) — serves every nested family: the
-// deep LP chain fits nested95's jobs·depth³ row (the fix for the
-// linear fit underpredicting deep chains), and the combinatorial
-// families fit comb's depth-insensitive jobs row.
-func costRowOf(benchFamily string) (fam, alg, feature string) {
-	switch benchFamily {
-	case "nested-small", "nested-medium", "nested-large":
-		return costmodel.FamilyLaminar, "", ""
-	case "unit-nested":
-		return costmodel.FamilyUnit, "", ""
-	case "gap-worstcase":
-		return costmodel.FamilyGeneral, "", ""
-	case "deep-chain-lp":
-		return costmodel.FamilyLaminar, "nested95", costmodel.FeatureJobsDepth3
-	case "deep-chain", "nested-100k", "nested-1m":
-		return costmodel.FamilyLaminar, "comb", costmodel.FeatureJobs
-	default:
-		// Delta families measure resumes, not cold solves; the cold
-		// model must not fit on them (warm costs go through
-		// Model.PredictWarmNS instead).
-		return "", "", ""
-	}
-}
-
-// runFit rebuilds the frozen benchmark families, pairs each with its
-// measured ns/op from the baseline report, and writes the fitted
-// costmodel coefficients.
-func runFit(inPath, outPath string) error {
-	rep, err := load(inPath)
-	if err != nil {
-		return err
-	}
-	nsByName := map[string]FamilyResult{}
-	for _, f := range rep.Families {
-		nsByName[f.Name] = f
-	}
-	var samples []costmodel.Sample
-	for _, f := range families() {
-		fam, alg, feature := costRowOf(f.name)
-		if fam == "" {
-			continue
-		}
-		fr, ok := nsByName[f.name]
-		if !ok {
-			return fmt.Errorf("baseline %s has no family %q (regenerate with make bench-core)", inPath, f.name)
-		}
-		// One op solves every instance in the family; divide down to the
-		// per-instance mean and pair it with the mean jobs and depth of
-		// the actual frozen instances.
-		var jobs, depth float64
-		for _, in := range f.instances {
-			jobs += float64(in.N())
-			depth += float64(costmodel.Depth(in))
-		}
-		k := float64(len(f.instances))
-		samples = append(samples, costmodel.Sample{
-			Family:    fam,
-			Algorithm: alg,
-			Feature:   feature,
-			Jobs:      jobs / k,
-			Depth:     depth / k,
-			NS:        float64(fr.NsPerOp) / k,
-		})
-	}
-	model, err := costmodel.Fit(samples, inPath)
-	if err != nil {
-		return err
-	}
-	if err := model.WriteFile(outPath); err != nil {
-		return err
-	}
-	for _, c := range model.Families {
-		feature := c.Feature
-		if feature == "" {
-			feature = costmodel.FeatureJobsDepth
-		}
-		row := c.Family
-		if c.Algorithm != "" {
-			row += "/" + c.Algorithm
-		}
-		fmt.Printf("%-18s c0=%.0f ns  c1=%.2f ns/%s  points=%d\n", row, c.C0, c.C1, feature, c.Points)
-	}
-	fmt.Println("wrote", outPath)
-	return nil
 }
 
 func load(path string) (*Report, error) {

@@ -3,27 +3,11 @@ package costmodel
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/instance"
 )
-
-func TestDefaultParsesAndCoversFamilies(t *testing.T) {
-	m := Default()
-	for _, fam := range []string{FamilyLaminar, FamilyUnit, FamilyGeneral} {
-		if _, ok := m.byKey[modelKey{fam, ""}]; !ok {
-			t.Errorf("embedded model missing family %q", fam)
-		}
-	}
-	if got := m.PredictNS("no-such-family", 10, 2); got != m.PredictNS(FamilyDefault, 10, 2) {
-		t.Errorf("unknown family did not fall back to %q", FamilyDefault)
-	}
-	if m.PredictNS(FamilyLaminar, 1, 1) < 1 {
-		t.Error("prediction below 1ns")
-	}
-}
 
 func TestDepthLaminarChain(t *testing.T) {
 	// Three strictly nested windows: depth 3.
@@ -76,94 +60,6 @@ func TestDepthMatchesBruteForce(t *testing.T) {
 		if got := Depth(in); got != want {
 			t.Fatalf("trial %d: Depth = %d, brute force = %d", trial, got, want)
 		}
-	}
-}
-
-func TestFitRecoversExactAffine(t *testing.T) {
-	// Samples generated from ns = 1000 + 5·x must be recovered exactly.
-	var samples []Sample
-	for _, x := range []float64{10, 40, 160} {
-		samples = append(samples, Sample{Family: "laminar", Jobs: x, Depth: 1, NS: 1000 + 5*x})
-	}
-	m, err := Fit(samples, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.byKey[modelKey{"laminar", ""}]
-	if c.C0 < 999 || c.C0 > 1001 || c.C1 < 4.99 || c.C1 > 5.01 {
-		t.Fatalf("fit = %+v, want c0≈1000 c1≈5", c)
-	}
-}
-
-func TestFitClampsToMonotone(t *testing.T) {
-	// Decreasing cost with size would break SJF; the fit must fall back
-	// to non-negative coefficients.
-	samples := []Sample{
-		{Family: "laminar", Jobs: 10, Depth: 1, NS: 5000},
-		{Family: "laminar", Jobs: 100, Depth: 1, NS: 1000},
-	}
-	m, err := Fit(samples, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.byKey[modelKey{"laminar", ""}]
-	if c.C0 < 0 || c.C1 < 0 {
-		t.Fatalf("fit produced negative coefficients: %+v", c)
-	}
-	// Monotone: bigger never predicted cheaper.
-	if m.PredictNS("laminar", 100, 1) < m.PredictNS("laminar", 10, 1) {
-		t.Fatal("clamped fit is not monotone")
-	}
-}
-
-func TestFitSingleSampleThroughOrigin(t *testing.T) {
-	m, err := Fit([]Sample{{Family: "unit", Jobs: 32, Depth: 4, NS: 12800}}, "test")
-	if err == nil {
-		// Single family fit: need the default family too.
-		_ = m
-	}
-	// A model without the fallback family must be rejected.
-	if err == nil {
-		t.Fatal("Fit accepted a model without the fallback family")
-	}
-}
-
-func TestPerAlgorithmRowsAndFallback(t *testing.T) {
-	m, err := Fit([]Sample{
-		{Family: FamilyLaminar, Jobs: 12, Depth: 3, NS: 97000},
-		{Family: FamilyLaminar, Jobs: 32, Depth: 4, NS: 157000},
-		{Family: FamilyLaminar, Algorithm: "comb", Feature: FeatureJobs, Jobs: 1000, Depth: 900, NS: 500000},
-		{Family: FamilyLaminar, Algorithm: "nested95", Feature: FeatureJobsDepth3, Jobs: 48, Depth: 48, NS: 9e8},
-	}, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// comb's jobs-only feature ignores depth entirely.
-	if a, b := m.PredictAlgNS(FamilyLaminar, "comb", 1000, 1), m.PredictAlgNS(FamilyLaminar, "comb", 1000, 900); a != b {
-		t.Fatalf("comb prediction depends on depth: %d vs %d", a, b)
-	}
-	// nested95's cubic depth feature must dwarf comb on a deep chain.
-	if lp, cb := m.PredictAlgNS(FamilyLaminar, "nested95", 900, 900), m.PredictAlgNS(FamilyLaminar, "comb", 900, 900); lp < 100*cb {
-		t.Fatalf("deep chain: nested95=%dns not ≫ comb=%dns", lp, cb)
-	}
-	// Unknown algorithm falls back to the family's agnostic row.
-	if got, want := m.PredictAlgNS(FamilyLaminar, "no-such-alg", 10, 2), m.PredictNS(FamilyLaminar, 10, 2); got != want {
-		t.Fatalf("unknown algorithm: got %d want agnostic %d", got, want)
-	}
-	// Unknown family with a known algorithm uses the default family's
-	// row for that algorithm.
-	if got, want := m.PredictAlgNS("no-such-family", "comb", 500, 3), m.PredictAlgNS(FamilyLaminar, "comb", 500, 3); got != want {
-		t.Fatalf("family fallback with algorithm: got %d want %d", got, want)
-	}
-}
-
-func TestFitRejectsMixedFeatures(t *testing.T) {
-	_, err := Fit([]Sample{
-		{Family: FamilyLaminar, Jobs: 10, Depth: 2, NS: 100, Feature: FeatureJobs},
-		{Family: FamilyLaminar, Jobs: 20, Depth: 2, NS: 200, Feature: FeatureJobsDepth},
-	}, "test")
-	if err == nil {
-		t.Fatal("Fit accepted mixed features within one (family, algorithm) pair")
 	}
 }
 
@@ -272,30 +168,6 @@ func TestLPCeilingBoundsEstimate(t *testing.T) {
 func TestEstimateLPEmpty(t *testing.T) {
 	if e := EstimateLP(&instance.Instance{G: 2}); e.TableauBytes != 0 {
 		t.Errorf("empty estimate = %+v", e)
-	}
-}
-
-func TestLoadRoundTrip(t *testing.T) {
-	m, err := Fit([]Sample{
-		{Family: FamilyLaminar, Jobs: 12, Depth: 3, NS: 97000},
-		{Family: FamilyLaminar, Jobs: 32, Depth: 4, NS: 157000},
-		{Family: FamilyUnit, Jobs: 32, Depth: 4, NS: 120000},
-	}, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cm.json")
-	if err := m.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fam := range []string{FamilyLaminar, FamilyUnit} {
-		if m.PredictNS(fam, 50, 5) != m2.PredictNS(fam, 50, 5) {
-			t.Errorf("family %s: prediction changed across round trip", fam)
-		}
 	}
 }
 

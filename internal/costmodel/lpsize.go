@@ -1,8 +1,9 @@
 package costmodel
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/instance"
 )
@@ -54,7 +55,7 @@ func EstimateLP(in *instance.Instance) LPEstimate {
 	comps, _ := in.Components()
 	var best LPEstimate
 	for _, comp := range comps {
-		e := estimateComponent(comp)
+		e := EstimateComponent(comp)
 		if e.TableauBytes > best.TableauBytes {
 			best = e
 		}
@@ -62,19 +63,22 @@ func EstimateLP(in *instance.Instance) LPEstimate {
 	return best
 }
 
-// estimateComponent runs the containment-count sweep for one
-// component: pairs = Σ_j #{distinct windows W' : W' ⊆ W_j}, counted
-// with a Fenwick tree over compressed deadlines while sweeping
-// releases in descending order, O((n + w) log w).
-func estimateComponent(in *instance.Instance) LPEstimate {
-	type win struct{ r, d int64 }
-	seen := make(map[win]struct{}, in.N())
+// EstimateComponent is EstimateLP for one laminar-forest component.
+// It runs the containment-count sweep pairs = Σ_j #{distinct windows
+// W' : W' ⊆ W_j}: each distinct window, weighted by its job count, is
+// counted with a Fenwick tree over compressed deadlines while sweeping
+// releases in descending order, O(n + w log w) for w distinct windows.
+func EstimateComponent(in *instance.Instance) LPEstimate {
+	type win struct{ r, d, jobs int64 }
+	at := make(map[[2]int64]int, in.N())
 	wins := make([]win, 0, in.N())
 	for _, j := range in.Jobs {
-		w := win{j.Release, j.Deadline}
-		if _, ok := seen[w]; !ok {
-			seen[w] = struct{}{}
-			wins = append(wins, w)
+		k := [2]int64{j.Release, j.Deadline}
+		if i, ok := at[k]; ok {
+			wins[i].jobs++
+		} else {
+			at[k] = len(wins)
+			wins = append(wins, win{j.Release, j.Deadline, 1})
 		}
 	}
 	// Compress deadlines to Fenwick indices.
@@ -82,10 +86,11 @@ func estimateComponent(in *instance.Instance) LPEstimate {
 	for i, w := range wins {
 		dls[i] = w.d
 	}
-	sort.Slice(dls, func(a, b int) bool { return dls[a] < dls[b] })
-	dls = dedupeInt64(dls)
-	rank := func(d int64) int { // 1-based index of the largest dls ≤ d
-		return sort.Search(len(dls), func(i int) bool { return dls[i] > d })
+	slices.Sort(dls)
+	dls = slices.Compact(dls)
+	rank := func(d int64) int { // 1-based index of d, a window's deadline
+		i, _ := slices.BinarySearch(dls, d)
+		return i + 1
 	}
 	fen := make([]int64, len(dls)+1)
 	add := func(i int) {
@@ -101,21 +106,20 @@ func estimateComponent(in *instance.Instance) LPEstimate {
 		return s
 	}
 
-	// Sweep releases descending; windows enter the Fenwick before the
-	// job queries at the same release so a job counts its own window.
-	sort.Slice(wins, func(a, b int) bool { return wins[a].r > wins[b].r })
-	jobs := make([]instance.Job, len(in.Jobs))
-	copy(jobs, in.Jobs)
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].Release > jobs[b].Release })
-
+	// Sweep releases descending; every window sharing a release enters
+	// the Fenwick before any of them is queried, so a window counts
+	// itself and the windows it contains.
+	slices.SortFunc(wins, func(a, b win) int { return cmp.Compare(b.r, a.r) })
 	var pairs int64
-	wi := 0
-	for _, j := range jobs {
-		for wi < len(wins) && wins[wi].r >= j.Release {
-			add(rank(wins[wi].d))
-			wi++
+	for lo := 0; lo < len(wins); {
+		hi := lo
+		for ; hi < len(wins) && wins[hi].r == wins[lo].r; hi++ {
+			add(rank(wins[hi].d))
 		}
-		pairs += prefix(rank(j.Deadline))
+		for _, w := range wins[lo:hi] {
+			pairs += w.jobs * prefix(rank(w.d))
+		}
+		lo = hi
 	}
 
 	nodes := int64(len(wins))
@@ -154,14 +158,4 @@ func satMulBytes(r, c int64) int64 {
 		return math.MaxInt64
 	}
 	return int64(f)
-}
-
-func dedupeInt64(s []int64) []int64 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

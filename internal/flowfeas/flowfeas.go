@@ -69,7 +69,13 @@ type slotNet struct {
 
 // runSlotFlow builds and runs the slot-indexed network:
 // source -> job (p_j), job -> open slot in window (1), slot -> sink (g).
+// It checks ctx on entry and every 2¹⁶ slots and job-slot edges while
+// building, so a canceled solve does not finish a network over 10⁶
+// slots first.
 func runSlotFlow(ctx context.Context, in *instance.Instance, open []int64, rec *metrics.Recorder) (*slotNet, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	slots := dedupSorted(open)
 	n := in.N()
 	// Each job's usable slots are the block slots[lo:hi], found by binary
@@ -92,6 +98,11 @@ func runSlotFlow(ctx context.Context, in *instance.Instance, open []int64, rec *
 	g.Reserve(snk, len(slots))
 	depth := 0
 	for k := range slots {
+		if k&(1<<16-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+		}
 		depth += cover[k]
 		g.Reserve(2+n+k, 1+depth)
 		g.AddEdge(2+n+k, snk, in.G)
@@ -103,6 +114,7 @@ func runSlotFlow(ctx context.Context, in *instance.Instance, open []int64, rec *
 		jobLo:        lo,
 	}
 	var want int64
+	built := 0 // job-slot edges added
 	for _, j := range in.Jobs {
 		jn := 2 + j.ID
 		g.Reserve(jn, 1+hi[j.ID]-lo[j.ID])
@@ -110,6 +122,11 @@ func runSlotFlow(ctx context.Context, in *instance.Instance, open []int64, rec *
 		want += j.Processing
 		edges := make([]maxflow.EdgeRef, 0, hi[j.ID]-lo[j.ID])
 		for k := lo[j.ID]; k < hi[j.ID]; k++ {
+			if built++; built&(1<<16-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, false, err
+				}
+			}
 			edges = append(edges, g.AddEdge(jn, 2+n+k, 1))
 		}
 		net.jobSlotEdges[j.ID] = edges

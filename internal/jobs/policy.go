@@ -29,7 +29,7 @@ func (PriorityFCFS) Less(a, b *Job) bool {
 
 // SJF runs the job with the smallest predicted cost first (shortest-
 // predicted-job-first), FCFS on ties — this is what turns the
-// predicted-cost model into head-of-line-blocking avoidance: a 2 ms
+// cost prediction into head-of-line-blocking avoidance: a 2 ms
 // interactive solve never waits behind a queued 30 s batch solve.
 type SJF struct{}
 

@@ -6,13 +6,10 @@
 // measured cost, final status). Events land in a bounded in-memory
 // ring (served on /debug/events) and, optionally, a JSONL sink.
 //
-// On top of the event stream the Pipeline derives three aggregate
+// On top of the event stream the Pipeline derives two aggregate
 // views: tail-sampled exemplar traces (full span traces retained only
-// for slow, errored, or shed requests), rolling multi-window SLO
-// burn-rate counters (1m/10m/1h, exported as activetime_slo_* gauges),
-// and per-family/per-class cost-model accuracy histograms
-// (activetime_costmodel_abs_pct_err) that give online recalibration a
-// measured signal.
+// for slow, errored, or shed requests) and rolling multi-window SLO
+// burn-rate counters (1m/10m/1h, exported as activetime_slo_* gauges).
 //
 // A nil *Pipeline is the disabled pipeline: every method is a cheap
 // no-op, so call sites thread it unconditionally.
@@ -119,8 +116,8 @@ type Event struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	SolveMS   float64 `json:"solve_ms,omitempty"`
 
-	// Predicted vs measured cost: PredictedCostNS is the cost model's
-	// estimate, MeasuredNS the wall time of the solve behind the
+	// Predicted vs measured cost: PredictedCostNS is the profile's
+	// prediction (costmodel.Profile.PredictNS), MeasuredNS the wall time of the solve behind the
 	// result, CostAbsPctErr the |measured−predicted|/predicted error
 	// in percent (set by Emit when both sides are present).
 	PredictedCostNS int64   `json:"predicted_cost_ns,omitempty"`

@@ -33,14 +33,13 @@ type Config struct {
 }
 
 // Pipeline is the wide-event fan-in: Emit accepts canonical events and
-// feeds the ring, the JSONL sink, the SLO tracker, and the cost-model
-// accuracy histograms; the trace store holds tail-sampled exemplars.
+// feeds the ring, the JSONL sink and the SLO tracker; the trace store
+// holds tail-sampled exemplars.
 // A nil *Pipeline is the disabled pipeline — every method no-ops.
 type Pipeline struct {
 	cfg    Config
 	ring   *ring
 	slo    *sloTracker
-	cost   *costErrTracker
 	traces *trace.Store
 
 	sinkMu sync.Mutex
@@ -63,7 +62,6 @@ func New(cfg Config) *Pipeline {
 		cfg:    cfg,
 		ring:   newRing(cfg.RingSize),
 		slo:    newSLOTracker(cfg.SLO),
-		cost:   newCostErrTracker(),
 		traces: trace.NewStore(cfg.TraceRetain),
 		sink:   cfg.Sink,
 	}
@@ -72,10 +70,10 @@ func New(cfg Config) *Pipeline {
 // Enabled reports whether the pipeline is live.
 func (p *Pipeline) Enabled() bool { return p != nil }
 
-// Emit finalizes and publishes one wide event: derives the cost-model
+// Emit finalizes and publishes one wide event: derives the prediction
 // error when both sides are present, folds the outcome into the SLO
-// and cost-accuracy trackers, appends to the ring, and writes the
-// JSONL sink line. The event must not be mutated after Emit.
+// tracker, appends to the ring, and writes the JSONL sink line. The
+// event must not be mutated after Emit.
 func (p *Pipeline) Emit(ev *Event) {
 	if p == nil || ev == nil {
 		return
@@ -85,16 +83,6 @@ func (p *Pipeline) Emit(ev *Event) {
 	}
 	if ev.PredictedCostNS > 0 && ev.MeasuredNS > 0 {
 		ev.CostAbsPctErr = 100 * math.Abs(float64(ev.MeasuredNS)-float64(ev.PredictedCostNS)) / float64(ev.PredictedCostNS)
-	}
-	// Cost-model accuracy only counts fresh solves: a cache hit's
-	// MeasuredNS is the original solve replayed, and double-counting it
-	// would overweight popular instances.
-	if ev.CostAbsPctErr > 0 && ev.MeasuredNS > 0 && ev.Cache != CacheHit && ev.Cache != CacheCoalesced {
-		class := ev.Class
-		if class == "" {
-			class = "sync"
-		}
-		p.cost.observePct(ev.Family, class, ev.CostAbsPctErr)
 	}
 	p.slo.observe(p.cfg.Now(), IsSuccess(ev.Status), ev.ElapsedMS)
 	p.ring.append(ev)
@@ -205,10 +193,9 @@ func (p *Pipeline) SLOSummary() SLOSummary {
 }
 
 // WritePrometheus appends the pipeline's metric families to a
-// Prometheus text exposition: the rolling SLO window gauges and the
-// cost-model accuracy histograms (the build-info gauge is written
-// separately via WriteBuildInfoPrometheus, which works even with the
-// pipeline disabled).
+// Prometheus text exposition: the rolling SLO window gauges (the
+// build-info gauge is written separately via WriteBuildInfoPrometheus,
+// which works even with the pipeline disabled).
 func (p *Pipeline) WritePrometheus(w io.Writer) {
 	if p == nil {
 		return
@@ -240,6 +227,4 @@ func (p *Pipeline) WritePrometheus(w io.Writer) {
 		func(ws WindowStats) float64 { return ws.ErrorBurnRate })
 	writeWindowGauge("activetime_slo_latency_burn_rate", "Latency-tail budget burn rate over the rolling window (p99 objective implies a 1% tail budget).",
 		func(ws WindowStats) float64 { return ws.LatencyBurnRate })
-
-	p.cost.writePrometheus(w)
 }

@@ -95,23 +95,6 @@ func TestEmitDerivesCostError(t *testing.T) {
 	if ev.Schema != EventSchema {
 		t.Errorf("Emit should stamp schema, got %q", ev.Schema)
 	}
-
-	var buf bytes.Buffer
-	p.cost.writePrometheus(&buf)
-	out := buf.String()
-	if !strings.Contains(out, `activetime_costmodel_abs_pct_err_count{family="laminar",class="sync"} 1`) {
-		t.Errorf("fresh solve not observed in cost histogram:\n%s", out)
-	}
-
-	// A cache hit replays the original solve's MeasuredNS — it must not
-	// be observed again.
-	hit := &Event{Status: StatusCached, Cache: CacheHit, PredictedCostNS: 100, MeasuredNS: 150, Family: "laminar"}
-	p.Emit(hit)
-	buf.Reset()
-	p.cost.writePrometheus(&buf)
-	if !strings.Contains(buf.String(), `activetime_costmodel_abs_pct_err_count{family="laminar",class="sync"} 1`) {
-		t.Errorf("cache hit double-counted in cost histogram:\n%s", buf.String())
-	}
 }
 
 func TestJSONLSink(t *testing.T) {
@@ -258,15 +241,13 @@ func TestWritePrometheusSeries(t *testing.T) {
 		`activetime_slo_latency_attainment{window="1m"} 1`,
 		`activetime_slo_error_burn_rate{window="1m"} 0`,
 		`activetime_slo_latency_burn_rate{window="1m"} 0`,
-		`activetime_costmodel_abs_pct_err_bucket{family="unit",class="batch",le="10"} 1`,
-		`activetime_costmodel_abs_pct_err_bucket{family="unit",class="batch",le="+Inf"} 1`,
-		`activetime_costmodel_abs_pct_err_count{family="unit",class="batch"} 1`,
-		// Unobserved cells still export (static label grid).
-		`activetime_costmodel_abs_pct_err_count{family="general",class="best_effort"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "activetime_costmodel") {
+		t.Errorf("exposition still carries a cost-model series\n%s", out)
 	}
 }
 

@@ -1,8 +1,7 @@
 package server
 
 // Tests for the cluster-facing server satellites: inbound X-Request-ID
-// adoption, the draining /healthz state, and the online cost-model
-// feedback loop behind /debug/costmodel.
+// adoption and the draining /healthz state.
 
 import (
 	"encoding/json"
@@ -10,9 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/costmodel"
 )
 
 func TestRequestIDAdoptedAndEchoed(t *testing.T) {
@@ -101,98 +97,5 @@ func TestHealthzDraining(t *testing.T) {
 	solveResp, data := postSolve(t, ts, `{"instance":`+smallInstance+`}`)
 	if solveResp.StatusCode != http.StatusOK {
 		t.Fatalf("solve while draining: status %d: %s", solveResp.StatusCode, data)
-	}
-}
-
-func TestDebugCostModelLearnsFromSolves(t *testing.T) {
-	s, ts, _ := testServer(t)
-
-	// Before any solve: empty factors, default alpha.
-	var dbg struct {
-		Alpha   float64                    `json:"alpha"`
-		Factors []costmodel.FactorSnapshot `json:"factors"`
-	}
-	getDbg := func() {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/debug/costmodel")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/debug/costmodel status %d", resp.StatusCode)
-		}
-		dbg.Factors = nil
-		if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	getDbg()
-	if dbg.Alpha != costmodel.DefaultFeedbackAlpha {
-		t.Fatalf("alpha = %v, want %v", dbg.Alpha, costmodel.DefaultFeedbackAlpha)
-	}
-	if len(dbg.Factors) != 0 {
-		t.Fatalf("factors before any solve: %+v", dbg.Factors)
-	}
-
-	// A fresh solve feeds the corrector.
-	resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	getDbg()
-	if len(dbg.Factors) != 1 {
-		t.Fatalf("factors after one solve: %+v", dbg.Factors)
-	}
-	f := dbg.Factors[0]
-	if f.Samples != 1 || f.Factor <= 0 || f.Family == "" {
-		t.Fatalf("factor after one solve: %+v", f)
-	}
-
-	// The corrector state is also reachable in-process.
-	if snap := s.Corrector().Snapshot(); len(snap) != 1 {
-		t.Fatalf("in-process snapshot: %+v", snap)
-	}
-}
-
-func TestJobSubmitAppliesCorrection(t *testing.T) {
-	s, ts := jobsServer(t, Config{JobsMaxQueued: 8})
-
-	submit := func() JobSubmitResponse {
-		t.Helper()
-		resp, data := postJob(t, ts, `{"instance":`+smallInstance+`}`)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit status %d: %s", resp.StatusCode, data)
-		}
-		var sub JobSubmitResponse
-		if err := json.Unmarshal(data, &sub); err != nil {
-			t.Fatal(err)
-		}
-		return sub
-	}
-
-	// First submission: the corrector is empty, so the response carries
-	// the raw model prediction.
-	base := submit()
-	if base.PredictedCostNS <= 0 {
-		t.Fatalf("baseline predicted cost = %d", base.PredictedCostNS)
-	}
-	// Let the job run to completion: its measured cost is the
-	// corrector's first observation for this (family, algorithm) pair.
-	pollJobTerminal(t, ts, base.JobID, 10*time.Second)
-	snap := s.Corrector().Snapshot()
-	if len(snap) != 1 || snap[0].Samples != 1 {
-		t.Fatalf("corrector after one job: %+v", snap)
-	}
-	// The second submission of the identical instance must carry the
-	// corrected prediction: raw (== base, same instance) x factor.
-	want := int64(float64(base.PredictedCostNS) * snap[0].Factor)
-	if want < 1 {
-		want = 1
-	}
-	corrected := submit()
-	if corrected.PredictedCostNS != want {
-		t.Fatalf("corrected predicted cost = %d, want %d (factor %v x raw %d)",
-			corrected.PredictedCostNS, want, snap[0].Factor, base.PredictedCostNS)
 	}
 }

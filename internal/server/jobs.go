@@ -39,8 +39,9 @@ type JobSubmitResponse struct {
 	JobID     string     `json:"job_id"`
 	State     jobs.State `json:"state"`
 	Class     jobs.Class `json:"class"`
-	// PredictedCostNS is the cost model's estimate for this solve; the
-	// sjf policy orders the queue by it.
+	// PredictedCostNS is the request's predicted latency
+	// (costmodel.Profile.PredictNS), the same number its wide event
+	// carries; the sjf policy orders the queue by it.
 	PredictedCostNS int64  `json:"predicted_cost_ns"`
 	CostFamily      string `json:"cost_family"`
 	Policy          string `json:"policy"`
@@ -77,10 +78,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, p, status, msg)
 		return
 	}
-	// The event keeps the raw model output; the queue and the client see
-	// the corrected estimate, which is what SJF ordering and capacity
-	// planning want.
-	predicted := s.corr.Apply(p.prof.Family, string(p.alg), p.ev.PredictedCostNS)
+	predicted := p.ev.PredictedCostNS
 	// Stamped before Submit: once the job is admitted, the worker may
 	// reach the terminal state (and touch ev) at any moment, so the
 	// handler must not write ev afterwards. The terminal callback adds

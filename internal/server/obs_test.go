@@ -15,6 +15,8 @@ import (
 	"time"
 
 	activetime "repro"
+	"repro/internal/costmodel"
+	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -264,8 +266,8 @@ func TestObsDisabled(t *testing.T) {
 }
 
 // TestMetricsObsSeries: the exposition carries the SLO burn-rate
-// gauges, the cost-model accuracy histogram, and the build-info gauge
-// once telemetry is enabled and traffic has flowed.
+// gauges and the build-info gauge once telemetry is enabled and traffic
+// has flowed.
 func TestMetricsObsSeries(t *testing.T) {
 	_, ts, _ := testServerCfg(t, obsConfig())
 	if resp, data := postSolve(t, ts, `{"instance":`+smallInstance+`}`); resp.StatusCode != http.StatusOK {
@@ -289,24 +291,13 @@ func TestMetricsObsSeries(t *testing.T) {
 		`activetime_slo_latency_attainment{window="1m"} 1`,
 		`activetime_slo_error_burn_rate{window="1m"} 0`,
 		`activetime_slo_latency_burn_rate{window="1m"} 0`,
-		"# TYPE activetime_costmodel_abs_pct_err histogram",
-		`activetime_costmodel_abs_pct_err_bucket{family="laminar",class="sync",le="+Inf"}`,
-		`activetime_costmodel_abs_pct_err_count{family="laminar",class="sync"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The solved request observed one accuracy sample under its family.
-	var page obs.EventsPage
-	getJSON(t, ts, "/debug/events", &page)
-	fam := page.Events[0].Family
-	var count int
-	marker := fmt.Sprintf("activetime_costmodel_abs_pct_err_count{family=%q,class=\"sync\"}", fam)
-	if i := strings.Index(out, marker); i < 0 {
-		t.Fatalf("metrics missing %s", marker)
-	} else if _, err := fmt.Sscanf(out[i+len(marker):], " %d", &count); err != nil || count != 1 {
-		t.Errorf("cost-err count for %s = %d (%v), want 1", fam, count, err)
+	if strings.Contains(out, "activetime_costmodel") {
+		t.Error("metrics still carry a cost-model series")
 	}
 }
 
@@ -341,6 +332,37 @@ func TestJobWideEvents(t *testing.T) {
 	}
 	if ev.PredictedCostNS <= 0 || ev.MeasuredNS <= 0 {
 		t.Errorf("async event missing cost fields: %+v", ev)
+	}
+}
+
+// TestJobPredictionIsOneNumber: a /jobs submit's predicted_cost_ns is
+// the profile's PredictNS, and the queue orders the job by that same
+// number and its wide event carries it.
+func TestJobPredictionIsOneNumber(t *testing.T) {
+	s, ts := jobsServer(t, obsConfig())
+	resp, data := postJob(t, ts, `{"instance":`+smallInstance+`}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
+	}
+	var sub JobSubmitResponse
+	if err := json.Unmarshal(data, &sub); err != nil {
+		t.Fatal(err)
+	}
+	pollJobTerminal(t, ts, sub.JobID, 10*time.Second)
+
+	in, err := instance.ReadJSON(strings.NewReader(smallInstance))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := costmodel.NewProfile(in).PredictNS()
+	st, _ := s.queue.Get(sub.JobID) // Job.PredictedNS(), what sjf orders by
+	page := s.Obs().Events(obs.EventFilter{Path: obs.PathAsync})
+	if page.Total != 1 {
+		t.Fatalf("async events: %d, want 1", page.Total)
+	}
+	if sub.PredictedCostNS != want || st.PredictedNS != want || page.Events[0].PredictedCostNS != want {
+		t.Fatalf("predicted_cost_ns: response %d, job %d, event %d; want PredictNS %d",
+			sub.PredictedCostNS, st.PredictedNS, page.Events[0].PredictedCostNS, want)
 	}
 }
 

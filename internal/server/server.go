@@ -89,10 +89,6 @@ type Config struct {
 	// JobsBudgets caps queued+running jobs per SLO class; missing or
 	// zero entries are bounded only by JobsMaxQueued.
 	JobsBudgets map[jobs.Class]int
-	// CostModel predicts job cost for SJF ordering and the
-	// predicted_cost_ns response field; nil uses the embedded model
-	// fitted from BENCH_core.json.
-	CostModel *costmodel.Model
 
 	// EventRing sizes the wide-event in-memory ring behind
 	// /debug/events; ≤ 0 disables the telemetry pipeline entirely
@@ -142,10 +138,8 @@ type Server struct {
 	cfg    Config
 	sem    chan struct{} // in-flight slots; nil when unlimited
 	cache  *solvecache.Group[*solveOutcome]
-	queue  *jobs.Queue          // async job queue; nil when the job API is disabled
-	cost   *costmodel.Model     // predicted-cost model for SJF and predicted_cost_ns
-	corr   *costmodel.Corrector // online measured-vs-predicted EWMA correction
-	obs    *obs.Pipeline        // wide-event pipeline; nil when EventRing ≤ 0
+	queue  *jobs.Queue   // async job queue; nil when the job API is disabled
+	obs    *obs.Pipeline // wide-event pipeline; nil when EventRing ≤ 0
 	build  obs.BuildInfo
 	reqSeq atomic.Int64
 
@@ -177,11 +171,6 @@ func New(log *slog.Logger, cfg Config) *Server {
 		s.cache.SetWarmBudget(cfg.CacheWarmBytes)
 		s.reg.SetCacheStatsFunc(s.cache.CacheStats)
 	}
-	s.cost = cfg.CostModel
-	if s.cost == nil {
-		s.cost = costmodel.Default()
-	}
-	s.corr = costmodel.NewCorrector(costmodel.DefaultFeedbackAlpha)
 	s.build = obs.CollectBuildInfo()
 	s.obs = obs.New(obs.Config{
 		RingSize:      cfg.EventRing,
@@ -231,10 +220,6 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // event ring and retained traces directly.
 func (s *Server) Obs() *obs.Pipeline { return s.obs }
 
-// Corrector exposes the online cost-model feedback state (read by
-// /debug/costmodel and by tests).
-func (s *Server) Corrector() *costmodel.Corrector { return s.corr }
-
 // StartDraining marks the server as shutting down: /healthz flips to
 // "draining" (503) so health probes eject this replica from routing
 // while in-flight requests are still being served. Idempotent; there
@@ -264,7 +249,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/slo", s.handleDebugSLO)
 		mux.HandleFunc("GET /debug/traces/{id}", s.handleDebugTrace)
 	}
-	mux.HandleFunc("GET /debug/costmodel", s.handleDebugCostModel)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -432,7 +416,7 @@ func solveStatus(err error) int {
 func (s *Server) route(p *plan) (string, error) {
 	var reason string
 	if p.alg == activetime.AlgAuto {
-		dec := activetime.RouteProfile(p.prof, s.cost)
+		dec := activetime.RouteProfile(p.prof)
 		if dec.Algorithm == activetime.AlgAuto && (p.req.ExactLP || p.req.Minimalize || p.req.Compact) &&
 			p.prof.LP().TableauBytes <= costmodel.LPBudgetBytes {
 			// These options mean something only to the LP pipeline, so
@@ -589,8 +573,8 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, p *plan) (int, 
 	p.ev.G = in.G
 	p.ev.Depth = p.prof.Depth
 	p.ev.Family = p.prof.Family
-	// The raw model output: the corrector's Observe needs it uncorrected.
-	p.ev.PredictedCostNS = s.cost.PredictAlgNS(p.prof.Family, string(p.alg), p.prof.Jobs, p.prof.Depth)
+	// The one prediction: the queue orders by it and the 202 returns it.
+	p.ev.PredictedCostNS = p.prof.PredictNS()
 	if routeErr != nil {
 		return reject("route", http.StatusUnprocessableEntity, routeErr.Error())
 	}
@@ -783,7 +767,7 @@ func appendSolveResponse(b []byte, out *SolveResponse) ([]byte, error) {
 
 // solveOutcome is the solve cache's value: the shared result plus the
 // wall time of the solve that produced it, so cache hits can report
-// the original measured cost against the cost model's prediction.
+// the original measured cost against the prediction.
 type solveOutcome struct {
 	res     *activetime.Result
 	solveNS int64
@@ -1037,11 +1021,6 @@ func (s *Server) fillEvent(p *plan, cacheOutcome, key string, out *solveOutcome,
 	if out.warmKind != "" {
 		ev.WarmStart = true
 		ev.WarmKind = out.warmKind
-		// Re-predict with the warm discount so the event's
-		// predicted-vs-measured comparison describes the solve that
-		// actually ran.
-		ev.PredictedCostNS = s.cost.PredictWarmNS(
-			p.prof.Family, string(p.alg), out.warmKind, p.prof.Jobs, p.prof.Depth)
 	}
 	ev.WarmFallback = out.warmFallback
 	if out.res != nil {
@@ -1050,17 +1029,6 @@ func (s *Server) fillEvent(p *plan, cacheOutcome, key string, out *solveOutcome,
 		ev.Algorithm = string(out.res.Algorithm)
 		ev.LowerBound = out.res.LowerBound
 		ev.FillStats(out.res.Stats)
-	}
-	// Feed fresh cold solves (not cache hits — solveNS there is the
-	// original flight's, already observed once — and not warm resumes,
-	// whose cost the cold-fitted model cannot explain) back into the
-	// cost-model corrector. PredictedCostNS is the raw model output,
-	// which is what Observe requires.
-	if out.warmKind == "" {
-		switch cacheOutcome {
-		case obs.CacheMiss, obs.CacheOff, obs.CacheBypass:
-			s.corr.Observe(p.prof.Family, string(p.alg), ev.PredictedCostNS, out.solveNS)
-		}
 	}
 }
 
@@ -1123,20 +1091,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.WriteBuildInfoPrometheus(w, s.build)
 	s.obs.WritePrometheus(w)
-}
-
-// handleDebugCostModel serves the online cost-model feedback state:
-// the EWMA alpha and every learned (family, algorithm) correction
-// factor with its sample count.
-func (s *Server) handleDebugCostModel(w http.ResponseWriter, r *http.Request) {
-	factors := s.corr.Snapshot()
-	if factors == nil {
-		factors = []costmodel.FactorSnapshot{}
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"alpha":   s.corr.Alpha(),
-		"factors": factors,
-	})
 }
 
 // handleDebugEvents serves the wide-event ring, oldest first.

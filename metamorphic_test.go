@@ -7,6 +7,7 @@ package activetime
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -166,87 +167,69 @@ func TestDuplicationDoubling(t *testing.T) {
 	}
 }
 
-// TestCostModelMonotone: within every family — including the fallback
-// for an unknown family — the predicted cost is non-decreasing in the
-// job count (depth fixed) and in the nesting depth (jobs fixed). This
-// is the property that makes shortest-predicted-job-first coherent: a
-// strictly larger instance can never be predicted cheaper, so SJF
-// cannot invert on a growth transformation.
+// TestCostModelMonotone: the predicted cost is non-decreasing in the
+// job count (Σp fixed) and in Σp (jobs fixed), saturates instead of
+// overflowing, and is at least 1. This is the property that makes
+// shortest-predicted-job-first coherent: a strictly larger instance
+// can never be predicted cheaper, so SJF cannot invert on a growth
+// transformation. Growing a real instance (raising one job's p, adding
+// a job) never lowers its profile's prediction either.
 func TestCostModelMonotone(t *testing.T) {
-	m := costmodel.Default()
-	families := []string{
-		costmodel.FamilyLaminar, costmodel.FamilyUnit,
-		costmodel.FamilyGeneral, "no-such-family",
+	predict := func(jobsN int, units int64) int64 {
+		return (&costmodel.Profile{Jobs: jobsN, Units: units}).PredictNS()
 	}
-	// Every per-algorithm row (and the fallback for unknown algorithms)
-	// must be monotone too — the fitted features (jobs·depth,
-	// jobs·depth³, jobs) are all non-decreasing and the coefficients
-	// are clamped non-negative.
-	algorithms := []string{
-		"", string(AlgNested95), string(AlgCombinatorial),
-		string(AlgGreedyMinimal), "no-such-alg",
-	}
-	grid := []int{1, 2, 3, 5, 8, 13, 34, 144, 1000}
-	for _, fam := range families {
-		for _, alg := range algorithms {
-			for _, depth := range grid {
-				prev := int64(-1)
-				for _, jobsN := range grid {
-					got := m.PredictAlgNS(fam, alg, jobsN, depth)
-					if got < prev {
-						t.Fatalf("%s/%s: prediction fell %d -> %d raising jobs to %d at depth %d",
-							fam, alg, prev, got, jobsN, depth)
-					}
-					prev = got
-				}
+	grid := []int64{0, 1, 2, 3, 5, 8, 13, 144, 1000, 1 << 40, math.MaxInt64 / 2, math.MaxInt64}
+	for _, units := range grid {
+		prev := int64(0)
+		for _, jobsN := range []int{0, 1, 2, 5, 34, 1000, 1 << 20} {
+			got := predict(jobsN, units)
+			if got < max(prev, 1) {
+				t.Fatalf("prediction %d at jobs %d, Σp %d: below 1 or below %d at fewer jobs", got, jobsN, units, prev)
 			}
-			for _, jobsN := range grid {
-				prev := int64(-1)
-				for _, depth := range grid {
-					got := m.PredictAlgNS(fam, alg, jobsN, depth)
-					if got < prev {
-						t.Fatalf("%s/%s: prediction fell %d -> %d raising depth to %d at jobs %d",
-							fam, alg, prev, got, depth, jobsN)
-					}
-					prev = got
-				}
-			}
+			prev = got
 		}
 	}
-}
-
-// TestCostModelDeepChainHonesty pins the fix for the linear
-// underprediction on deep chains: the LP pipeline's predicted cost
-// must grow superlinearly in depth (its tableau is ~depth⁴, its work
-// ~depth³ on chains) and overtake the combinatorial solver's
-// prediction on deep chains.
-func TestCostModelDeepChainHonesty(t *testing.T) {
-	m := costmodel.Default()
-	lpAt := func(depth int) int64 {
-		return m.PredictAlgNS(costmodel.FamilyUnit, string(AlgNested95), depth, depth)
-	}
-	// Superlinear growth in depth: doubling the depth of a chain (which
-	// doubles jobs too) must more than double the LP prediction.
-	for _, d := range []int{32, 64, 128, 256} {
-		lo, hi := lpAt(d), lpAt(2*d)
-		if hi <= 2*lo {
-			t.Fatalf("LP prediction grew linearly on chains: depth %d -> %d gives %d -> %d", d, 2*d, lo, hi)
+	for _, jobsN := range []int{0, 1, 7, 1000} {
+		prev := int64(0)
+		for _, units := range grid {
+			got := predict(jobsN, units)
+			if got < max(prev, 1) {
+				t.Fatalf("prediction %d at Σp %d, jobs %d: below 1 or below %d at smaller Σp", got, units, jobsN, prev)
+			}
+			prev = got
 		}
 	}
-	// On the repro shape the LP prediction must dwarf comb's.
-	lp900 := lpAt(900)
-	comb900 := m.PredictAlgNS(costmodel.FamilyUnit, string(AlgCombinatorial), 900, 900)
-	if lp900 <= comb900 {
-		t.Fatalf("depth-900 chain: LP predicted %d ns <= comb %d ns", lp900, comb900)
+	if got := predict(1<<20, math.MaxInt64); got != math.MaxInt64 {
+		t.Fatalf("saturated prediction = %d, want MaxInt64", got)
+	}
+	rng := rand.New(rand.NewSource(3016))
+	for trial := 0; trial < 20; trial++ {
+		in := gen.RandomLaminar(rng, gen.DefaultLaminar(8, 2))
+		base := costmodel.NewProfile(in).PredictNS()
+		jobs := append([]Job{}, in.Jobs...)
+		k := rng.Intn(len(jobs))
+		jobs[k].Processing++
+		jobs[k].Deadline++
+		raised, err := NewInstance(in.G, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, err := NewInstance(in.G, append(jobs, Job{Processing: 1, Release: 0, Deadline: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, g := costmodel.NewProfile(raised).PredictNS(), costmodel.NewProfile(grown).PredictNS()
+		if r < base || g < r {
+			t.Fatalf("trial %d: prediction %d, raising a p %d, adding a job %d", trial, base, r, g)
+		}
 	}
 }
 
 // TestCostModelInstanceMonotone: unioning an instance with a
 // far-shifted copy of itself (the duplication transform the solver
-// suite uses) doubles the job count without lowering the depth, so the
-// predicted cost must not decrease.
+// suite uses) doubles the job count and Σp without lowering the depth,
+// so the predicted cost must not decrease.
 func TestCostModelInstanceMonotone(t *testing.T) {
-	m := costmodel.Default()
 	rng := rand.New(rand.NewSource(3015))
 	for trial := 0; trial < 12; trial++ {
 		in := gen.RandomLaminar(rng, gen.DefaultLaminar(6, 2))
@@ -255,8 +238,8 @@ func TestCostModelInstanceMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single := m.PredictNS(costmodel.FamilyLaminar, in.N(), costmodel.Depth(in))
-		double := m.PredictNS(costmodel.FamilyLaminar, union.N(), costmodel.Depth(union))
+		single := costmodel.NewProfile(in).PredictNS()
+		double := costmodel.NewProfile(union).PredictNS()
 		if double < single {
 			t.Fatalf("trial %d: duplication lowered prediction %d -> %d", trial, single, double)
 		}
